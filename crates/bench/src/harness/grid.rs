@@ -8,10 +8,12 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 use std::path::Path;
 
-use mssr_core::{MemCheckPolicy, MssrConfig, MultiStreamReuse, RegisterIntegration, RiConfig};
+use mssr_core::{
+    MemCheckPolicy, MssrConfig, MultiStreamReuse, RegisterIntegration, RiConfig, RiCounters,
+};
 use mssr_sim::{
-    fnv1a64, BbvCollector, BpredKind, BufferSink, CycleAccount, ProfReport, ReuseEngine, SimConfig,
-    SimStats, Simulator, TraceEvent, TraceKind, TraceSink, PROF_DEFAULT_STRIDE,
+    fnv1a64, BbvCollector, BpredKind, BufferSink, CkptError, CycleAccount, ProfReport, ReuseEngine,
+    SimConfig, SimStats, Simulator, TraceEvent, TraceKind, TraceSink, PROF_DEFAULT_STRIDE,
 };
 use mssr_workloads::{Scale, Workload};
 
@@ -514,6 +516,29 @@ impl CellPool {
         format!("{:016x}", key)
     }
 
+    /// A freshly instantiated simulator for cell `spec`, armed for
+    /// profiling and sampling but with no trace sink yet.
+    fn fresh_sim(&self, spec: &CellSpec, profile: bool, sample: u64) -> CellSim {
+        let ri = spec.engine.build_ri();
+        let ri_counters = ri.as_ref().map(RegisterIntegration::replacement_counters);
+        let engine = match ri {
+            Some(r) => Some(Box::new(r) as Box<dyn ReuseEngine>),
+            None => spec.engine.build(),
+        };
+        let w = &self.workloads[spec.workload];
+        let mut sim = match engine {
+            Some(e) => w.instantiate_with(spec.cfg.clone(), e),
+            None => w.instantiate(spec.cfg.clone()),
+        };
+        if profile {
+            sim.set_profiling(PROF_DEFAULT_STRIDE);
+        }
+        if sample > 0 {
+            sim.set_sample_interval(sample);
+        }
+        CellSim { sim, ri_counters }
+    }
+
     fn run_cell(&self, i: CellId, seed: u64, opts: &HarnessOpts) -> CellResult {
         self.run_cell_with(i, seed, &CellRun::from_opts(opts), None)
     }
@@ -544,88 +569,63 @@ impl CellPool {
             (None, None)
         };
         let mut ckpt_skips: Vec<String> = Vec::new();
-        let run = |engine: Option<Box<dyn ReuseEngine>>, skips: &mut Vec<String>| {
-            let mut sim = match engine {
-                Some(e) => w.instantiate_with(spec.cfg.clone(), e),
-                None => w.instantiate(spec.cfg.clone()),
-            };
-            if rp.profile {
-                sim.set_profiling(PROF_DEFAULT_STRIDE);
-            }
-            if sample > 0 {
-                sim.set_sample_interval(sample);
-            }
-            let mask = if !trace && sample > 0 { TraceKind::Sample.bit() } else { !0 };
-            let stem = self.ckpt_stem(spec, seed, rp.ffwd);
-            // The shared-memory restore runs *before* the sink attaches:
-            // the donor may have checkpointed under a different trace
-            // configuration, and nothing it replays (including the
-            // restore event itself) belongs in this run's stream. A cold
-            // run's stream starts with the fast-forward event, which
-            // `rearm_tracing` re-emits below once the sink is live.
-            let mut restored = false;
-            if let Some(mem) = rp.ckpt_mem {
-                if let Some(bytes) = mem.get(&stem) {
-                    match sim.restore(&bytes) {
-                        Ok(()) => restored = true,
-                        Err(e) => skips.push(format!("<memory snapshot>: {e}")),
-                    }
-                }
-            }
-            if let Some(s) = sink {
-                sim.set_trace_sink(Box::new(s));
-                if !trace {
-                    sim.set_trace_mask(mask);
-                }
-            }
-            if restored {
-                // A checkpoint restores its saver's sampler interval,
-                // trace mask, and event counters; re-assert this run's.
-                // The snapshot is a fast-forward boundary — zero detailed
-                // cycles behind it — so a fresh sampler plus the re-armed
-                // tracer is exactly the state a cold run of this
-                // configuration has here.
-                sim.set_sample_interval(sample);
-                sim.rearm_tracing(mask);
-            }
-            if !restored {
-                if let Some(dir) = rp.ckpt_dir {
-                    let (ok, disk_skips) = restore_newest_ckpt(&mut sim, dir, &stem);
-                    skips.extend(disk_skips);
-                    restored = ok;
-                }
-            }
-            if !restored && rp.ffwd > 0 {
-                sim.fast_forward(rp.ffwd);
-                // The boundary state is the shareable artifact: every
-                // later request for this cell identity (any sampling
-                // mode) can start detailed simulation from it.
-                if let Some(mem) = rp.ckpt_mem {
-                    mem.put(&stem, sim.snapshot());
-                }
-            }
-            if let Some(dir) = rp.ckpt_dir.filter(|_| rp.ckpt_every > 0) {
-                save_periodic_ckpts(&mut sim, dir, &stem, rp.ckpt_every);
-            }
-            let stats = w.finish(&mut sim);
-            let prof = sim.profile_report();
-            (stats, prof)
-        };
         let started = (rp.timing || rp.profile).then(std::time::Instant::now);
-        let (mut stats, prof, ri_set_replacements) = match spec.engine.build_ri() {
-            Some(ri) => {
-                // Keep the replacement-counter handle across the run
-                // (fig3's per-set replacement-frequency data).
-                let counters = ri.replacement_counters();
-                let (stats, prof) = run(Some(Box::new(ri)), &mut ckpt_skips);
-                let snapshot = counters.borrow().clone();
-                (stats, prof, Some(snapshot))
+        let fresh = || self.fresh_sim(spec, rp.profile, sample);
+        let mut cell = fresh();
+        let mask = if !trace && sample > 0 { TraceKind::Sample.bit() } else { !0 };
+        let stem = self.ckpt_stem(spec, seed, rp.ffwd);
+        // Every restore runs *before* the sink attaches. The donor of a
+        // shared-memory snapshot may have checkpointed under a different
+        // trace configuration, and nothing it replays (including the
+        // restore event itself) belongs in this run's stream. A cold
+        // run's stream starts with the fast-forward event, which
+        // `rearm_tracing` re-emits below once the sink is live. Disk
+        // checkpoints are only used without a sink (see `CellRun`).
+        let mut boundary = false;
+        if let Some(bytes) = rp.ckpt_mem.and_then(|mem| mem.get(&stem)) {
+            match cell.restore_or_renew(&bytes, &fresh) {
+                Ok(()) => boundary = true,
+                Err(e) => ckpt_skips.push(format!("<memory snapshot>: {e}")),
             }
-            None => {
-                let (stats, prof) = run(spec.engine.build(), &mut ckpt_skips);
-                (stats, prof, None)
+        }
+        let mut restored = boundary;
+        if let Some(dir) = rp.ckpt_dir.filter(|_| !restored) {
+            let (ok, disk_skips) = restore_newest_ckpt(&mut cell, dir, &stem, &fresh);
+            ckpt_skips.extend(disk_skips);
+            restored = ok;
+        }
+        let sim = &mut cell.sim;
+        if let Some(s) = sink {
+            sim.set_trace_sink(Box::new(s));
+            if !trace {
+                sim.set_trace_mask(mask);
             }
-        };
+        }
+        if boundary {
+            // A checkpoint restores its saver's sampler interval, trace
+            // mask, and event counters; re-assert this run's. The
+            // snapshot is a fast-forward boundary — zero detailed cycles
+            // behind it — so a fresh sampler plus the re-armed tracer is
+            // exactly the state a cold run of this configuration has here.
+            sim.set_sample_interval(sample);
+            sim.rearm_tracing(mask);
+        }
+        if !restored && rp.ffwd > 0 {
+            sim.fast_forward(rp.ffwd);
+            // The boundary state is the shareable artifact: every later
+            // request for this cell identity (any sampling mode) can
+            // start detailed simulation from it.
+            if let Some(mem) = rp.ckpt_mem {
+                mem.put(&stem, sim.snapshot());
+            }
+        }
+        if let Some(dir) = rp.ckpt_dir.filter(|_| rp.ckpt_every > 0) {
+            save_periodic_ckpts(sim, dir, &stem, rp.ckpt_every);
+        }
+        let mut stats = w.finish(sim);
+        let prof = sim.profile_report();
+        // fig3's per-set replacement-frequency data.
+        let ri_set_replacements = cell.ri_counters.map(|c| c.borrow().clone());
         let total_us = started.map(|t0| (t0.elapsed().as_micros().max(1) as u64).max(1));
         if rp.timing {
             // MIPS = insts / µs; thousandths keep the trajectory integer.
@@ -677,28 +677,6 @@ impl CellPool {
             } else {
                 (None, None)
             };
-            let ri = spec.engine.build_ri();
-            let counters = ri.as_ref().map(RegisterIntegration::replacement_counters);
-            let engine = match ri {
-                Some(r) => Some(Box::new(r) as Box<dyn ReuseEngine>),
-                None => spec.engine.build(),
-            };
-            let mut sim = match engine {
-                Some(e) => w.instantiate_with(spec.cfg.clone(), e),
-                None => w.instantiate(spec.cfg.clone()),
-            };
-            if opts.profile {
-                sim.set_profiling(PROF_DEFAULT_STRIDE);
-            }
-            if sample > 0 {
-                sim.set_sample_interval(sample);
-            }
-            if let Some(s) = sink {
-                sim.set_trace_sink(Box::new(s));
-                if !trace {
-                    sim.set_trace_mask(TraceKind::Sample.bit());
-                }
-            }
             // Detailed warmup: back the fast-forward off by a quarter
             // interval (bounded by the program start) so the measured
             // region runs on a filled pipeline; its counters are
@@ -706,17 +684,28 @@ impl CellPool {
             let warm = (plan.interval / SIMPOINT_WARMUP_DIV).min(rep.start_inst);
             let ffwd = rep.start_inst - warm;
             // One checkpoint per representative: the stem hashes the
-            // detailed-run start as its fast-forward depth, exactly the
-            // stems the PR 4 machinery restores from.
+            // detailed-run start as its fast-forward depth, the same
+            // stems the `--ffwd` path restores from.
             let stem = self.ckpt_stem(spec, seed, ffwd);
+            let fresh = || self.fresh_sim(spec, opts.profile, sample);
+            let mut cell = fresh();
+            // Restores precede the sink; `ckpt_dir` is `None` whenever
+            // there is one.
             let restored = match ckpt_dir {
                 Some(dir) => {
-                    let (ok, skips) = restore_newest_ckpt(&mut sim, dir, &stem);
+                    let (ok, skips) = restore_newest_ckpt(&mut cell, dir, &stem, &fresh);
                     ckpt_skips.extend(skips);
                     ok
                 }
                 None => false,
             };
+            let CellSim { mut sim, ri_counters: counters } = cell;
+            if let Some(s) = sink {
+                sim.set_trace_sink(Box::new(s));
+                if !trace {
+                    sim.set_trace_mask(TraceKind::Sample.bit());
+                }
+            }
             if !restored {
                 if ffwd > 0 {
                     sim.fast_forward(ffwd);
@@ -787,6 +776,31 @@ impl CellPool {
             reps,
         });
         CellResult { seed, stats, ri_set_replacements, trace, simpoint, profile }
+    }
+}
+
+/// A cell's simulator plus, for RI cells, the engine's per-set
+/// replacement counters (fig3's data), which live outside the simulator.
+struct CellSim {
+    sim: Simulator,
+    ri_counters: Option<RiCounters>,
+}
+
+impl CellSim {
+    /// Restores `bytes` into the simulator. On failure the simulator is
+    /// replaced by `fresh()`: a failed [`Simulator::restore`] may have
+    /// overwritten part of the machine, which must then be discarded, so
+    /// the caller's next attempt or cold fallback starts from a clean one.
+    fn restore_or_renew(
+        &mut self,
+        bytes: &[u8],
+        fresh: &dyn Fn() -> CellSim,
+    ) -> Result<(), CkptError> {
+        let r = self.sim.restore(bytes);
+        if r.is_err() {
+            *self = fresh();
+        }
+        r
     }
 }
 
@@ -887,14 +901,21 @@ fn record_ckpt_skips(stats: &mut SimStats, skips: &[String], i: CellId, w: &str,
     stats.engine.extra.push(("ckpt_restore_skips".to_string(), skips.len() as u64));
 }
 
-/// Restores the newest valid checkpoint for `stem` from `dir` into `sim`.
-/// Invalid or mismatched files (corruption, a different build's config)
-/// are skipped in favour of the next-newest; with none valid the cell
-/// just runs from scratch — checkpoints are an accelerator, never a
-/// correctness dependency. Each skipped file is reported back as
-/// `"<name>: <reason>"` so the caller can surface the degradation
-/// instead of silently eating the cold-start cost.
-fn restore_newest_ckpt(sim: &mut Simulator, dir: &Path, stem: &str) -> (bool, Vec<String>) {
+/// Restores the newest valid checkpoint for `stem` from `dir` into
+/// `cell`. Invalid or mismatched files (corruption, a different build's
+/// config) are skipped in favour of the next-newest; with none valid the
+/// cell just runs from scratch — checkpoints are an accelerator, never a
+/// correctness dependency. Every failed attempt leaves `cell` freshly
+/// re-instantiated by `fresh` (see [`CellSim::restore_or_renew`]). Each
+/// skipped file is reported back as `"<name>: <reason>"` so the caller
+/// can surface the degradation instead of silently eating the
+/// cold-start cost.
+fn restore_newest_ckpt(
+    cell: &mut CellSim,
+    dir: &Path,
+    stem: &str,
+    fresh: &dyn Fn() -> CellSim,
+) -> (bool, Vec<String>) {
     let mut skips = Vec::new();
     let Ok(entries) = std::fs::read_dir(dir) else { return (false, skips) };
     let mut found: Vec<(u64, std::path::PathBuf)> = entries
@@ -916,7 +937,7 @@ fn restore_newest_ckpt(sim: &mut Simulator, dir: &Path, stem: &str) -> (bool, Ve
                 continue;
             }
         };
-        match sim.restore(&bytes) {
+        match cell.restore_or_renew(&bytes, fresh) {
             Ok(()) => return (true, skips),
             Err(e) => skips.push(format!("{name}: {e}")),
         }
@@ -1055,13 +1076,152 @@ mod tests {
         std::fs::write(dir.join("aa.50.ckpt"), b"also garbage").unwrap();
         std::fs::write(dir.join("bb.100.ckpt"), b"other stem, ignored").unwrap();
         let w = microbench::nested_mispred(10);
-        let mut sim = w.instantiate(SimConfig::default().with_max_cycles(100_000));
-        let (ok, skips) = restore_newest_ckpt(&mut sim, &dir, "aa");
+        let fresh = || CellSim {
+            sim: w.instantiate(SimConfig::default().with_max_cycles(100_000)),
+            ri_counters: None,
+        };
+        let mut cell = fresh();
+        let (ok, skips) = restore_newest_ckpt(&mut cell, &dir, "aa", &fresh);
         assert!(!ok, "garbage files must not restore");
         assert_eq!(skips.len(), 2, "every invalid file for the stem is reported: {skips:?}");
         assert!(skips[0].contains("aa.100.ckpt"), "newest first: {skips:?}");
         assert!(skips[1].contains("aa.50.ckpt"), "{skips:?}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Re-seals a checkpoint with its first memory page index moved
+    /// outside the window. Envelope, checksum and identity hashes all
+    /// verify, so the restore fails mid-payload with
+    /// `CkptError::Corrupt`, after the sections before memory have
+    /// already overwritten the machine.
+    fn with_page_outside_window(bytes: &[u8], window: usize) -> Vec<u8> {
+        // Envelope: 20-byte header, 8-byte trailing checksum.
+        let mut payload = bytes[20..bytes.len() - 8].to_vec();
+        // The memory section opens with the window size, the page count,
+        // then the first page's index and byte length.
+        let size = (window as u64).to_le_bytes();
+        let page_len = 4096u64.to_le_bytes();
+        let at = (0..payload.len() - 32)
+            .find(|&p| payload[p..p + 8] == size && payload[p + 24..p + 32] == page_len)
+            .expect("checkpoint has a non-empty memory section");
+        payload[at + 16..at + 24].copy_from_slice(&(window as u64 / 4096 + 1).to_le_bytes());
+        mssr_sim::seal(&payload)
+    }
+
+    /// Corrupts every checkpoint file in `dir` in place; returns how many.
+    fn corrupt_ckpt_dir(dir: &Path, window: usize) -> usize {
+        let files: Vec<_> = std::fs::read_dir(dir)
+            .expect("checkpoint dir")
+            .map(|e| e.expect("dir entry").path())
+            .filter(|p| p.extension().is_some_and(|x| x == "ckpt"))
+            .collect();
+        for f in &files {
+            let bytes = std::fs::read(f).expect("checkpoint readable");
+            std::fs::write(f, with_page_outside_window(&bytes, window)).expect("rewrite");
+        }
+        files.len()
+    }
+
+    /// A cell's observable result with the `ckpt_restore_skips` counter
+    /// removed (the one field a degraded restore may add).
+    fn trajectory(r: &CellResult) -> String {
+        let mut stats = r.stats.clone();
+        stats.engine.extra.retain(|(k, _)| k != "ckpt_restore_skips");
+        format!("{}|{:?}|{:?}", stats.to_json(), r.ri_set_replacements, r.simpoint)
+    }
+
+    fn skips(r: &CellResult) -> u64 {
+        r.stats.engine.extra.iter().find(|(k, _)| k == "ckpt_restore_skips").map_or(0, |e| e.1)
+    }
+
+    /// BASE and RI (whose replacement counters live outside the
+    /// simulator) on one microbenchmark.
+    fn restore_pool() -> (CellPool, SimConfig) {
+        let mut pool = CellPool::new(Scale::Test);
+        let w = pool.intern(microbench::nested_mispred(200));
+        let cfg = SimConfig::default().with_max_cycles(1_000_000);
+        pool.cell(w, EngineSpec::Baseline.into(), cfg.clone());
+        pool.cell(w, EngineSpec::Ri { sets: 64, ways: 2 }.into(), cfg.clone());
+        (pool, cfg)
+    }
+
+    fn fresh_temp_dir(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("mssr-grid-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    #[test]
+    fn failed_disk_restore_runs_cold_from_a_fresh_simulator() {
+        let (pool, cfg) = restore_pool();
+        let dir = fresh_temp_dir("half-restored");
+        let mut opts = HarnessOpts::new(Scale::Test);
+        opts.jobs = 1;
+        let cold = pool.run(&opts);
+        opts.ckpt_dir = Some(dir.clone());
+        opts.ckpt_every = 500;
+        pool.run(&opts);
+        assert!(corrupt_ckpt_dir(&dir, cfg.mem_bytes) > 0, "periodic checkpoints were written");
+        let warm = pool.run(&opts);
+        for (c, w) in cold.iter().zip(&warm) {
+            assert!(skips(w) > 0, "the corrupt checkpoints are reported");
+            assert_eq!(trajectory(w), trajectory(c), "a failed restore must leave a cold run");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_simpoint_restore_runs_cold_from_a_fresh_simulator() {
+        let (pool, cfg) = restore_pool();
+        let dir = fresh_temp_dir("half-restored-simpoint");
+        let mut opts = HarnessOpts::new(Scale::Test);
+        opts.jobs = 1;
+        opts.simpoint = Some((1000, 2));
+        let cold = pool.run(&opts);
+        opts.ckpt_dir = Some(dir.clone());
+        pool.run(&opts);
+        assert!(
+            corrupt_ckpt_dir(&dir, cfg.mem_bytes) > 0,
+            "representative checkpoints were written"
+        );
+        let warm = pool.run(&opts);
+        for (c, w) in cold.iter().zip(&warm) {
+            assert!(skips(w) > 0, "the corrupt checkpoints are reported");
+            assert_eq!(trajectory(w), trajectory(c), "a failed restore must leave a cold run");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_memory_snapshot_restore_runs_cold_from_a_fresh_simulator() {
+        let (pool, cfg) = restore_pool();
+        let ffwd = 1000;
+        for i in 0..pool.len() {
+            let seed = cell_seed(7, i as u64);
+            let mem = CkptMem::new();
+            let rp = |ckpt_mem| CellRun {
+                trace: false,
+                sample: 0,
+                ffwd,
+                ckpt_dir: None,
+                ckpt_every: 0,
+                timing: false,
+                profile: false,
+                ckpt_mem: Some(ckpt_mem),
+            };
+            let cold = pool.run_cell_with(i, seed, &rp(&mem), None);
+            let stem = pool.ckpt_stem(&pool.cells[i], seed, ffwd);
+            let bytes = mem.get(&stem).expect("the cold run shares its boundary snapshot");
+            let bad = CkptMem::new();
+            bad.put(&stem, with_page_outside_window(&bytes, cfg.mem_bytes));
+            let warm = pool.run_cell_with(i, seed, &rp(&bad), None);
+            assert_eq!(skips(&warm), 1, "the corrupt snapshot is reported");
+            assert_eq!(
+                trajectory(&warm),
+                trajectory(&cold),
+                "a failed restore must leave a cold run"
+            );
+        }
     }
 
     #[test]

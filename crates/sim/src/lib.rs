@@ -62,6 +62,11 @@ mod lsq;
 mod mem;
 mod pipeline;
 mod prof;
+/// The workspace's std-only property-test harness, shared with the
+/// integration tests.
+#[cfg(test)]
+#[path = "../../../tests/common/prop.rs"]
+mod prop;
 mod rename;
 mod rob;
 mod sample;
@@ -79,7 +84,7 @@ pub use check::{
     check_age_order, check_bbv, check_commit_entry, check_conservation, check_cpi_account,
     check_lsq, check_reuse_safety, check_rgids, Rule, Violation,
 };
-pub use ckpt::{fnv1a64, CkptError, CkptReader, CkptWriter, CKPT_MAGIC, CKPT_VERSION};
+pub use ckpt::{fnv1a64, seal, CkptError, CkptReader, CkptWriter, CKPT_MAGIC, CKPT_VERSION};
 pub use config::{CacheConfig, ConfigError, SimConfig};
 pub use engine::{
     BlockRange, DstBinding, EngineCtx, NoReuse, PredBlock, RenamedInst, ReuseEngine, ReuseGrant,

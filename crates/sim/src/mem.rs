@@ -4,7 +4,8 @@
 use crate::ckpt::{CkptError, CkptReader, CkptWriter};
 use crate::config::{CacheConfig, SimConfig};
 
-/// Page granule of the sparse checkpoint memory encoding.
+/// Page granule of the sparse checkpoint memory encoding and of the
+/// touched-page bitmap.
 const CKPT_PAGE: usize = 4096;
 
 /// Flat, byte-addressable simulated main memory.
@@ -13,10 +14,18 @@ const CKPT_PAGE: usize = 4096;
 /// wrong-path accesses with garbage addresses (a normal occurrence in an
 /// execution-driven simulator that executes mispredicted paths) never
 /// escape the simulated address space.
-#[derive(Clone, Debug)]
+///
+/// A bitmap with one bit per 4 KiB page tracks the pages ever written.
+/// Invariant: every non-zero byte lies in a page whose bit is set (bits
+/// may over-approximate, never under-approximate). Snapshot, restore and
+/// clone visit only the touched pages, so their cost follows the
+/// program's footprint rather than the window size.
+#[derive(Debug)]
 pub struct MainMemory {
     data: Vec<u8>,
     mask: u64,
+    /// Touched-page bitmap, 64 pages per word.
+    touched: Vec<u64>,
 }
 
 impl MainMemory {
@@ -27,7 +36,12 @@ impl MainMemory {
     /// Panics if `size` is not a power of two.
     pub fn new(size: usize) -> MainMemory {
         assert!(size.is_power_of_two(), "memory size must be a power of two");
-        MainMemory { data: vec![0; size], mask: size as u64 - 1 }
+        let pages = size.div_ceil(CKPT_PAGE);
+        MainMemory {
+            data: vec![0; size],
+            mask: size as u64 - 1,
+            touched: vec![0; pages.div_ceil(64)],
+        }
     }
 
     /// Wraps an arbitrary 64-bit address into the memory window.
@@ -37,7 +51,33 @@ impl MainMemory {
 
     /// Reads a little-endian 64-bit word. The address is wrapped; reads
     /// that straddle the wrap point see the window as circular.
+    #[inline]
     pub fn read_u64(&self, addr: u64) -> u64 {
+        let a = self.wrap(addr) as usize;
+        match self.data.get(a..a + 8) {
+            Some(word) => u64::from_le_bytes(word.try_into().expect("8 bytes")),
+            None => self.read_u64_wrapping(addr),
+        }
+    }
+
+    /// Writes a little-endian 64-bit word at a wrapped address.
+    #[inline]
+    pub fn write_u64(&mut self, addr: u64, value: u64) {
+        let a = self.wrap(addr) as usize;
+        match self.data.get_mut(a..a + 8) {
+            Some(word) => {
+                word.copy_from_slice(&value.to_le_bytes());
+                // First and last byte: a word may straddle two pages.
+                self.touch(a);
+                self.touch(a + 7);
+            }
+            None => self.write_u64_wrapping(addr, value),
+        }
+    }
+
+    /// [`MainMemory::read_u64`] of a word straddling the wrap point.
+    #[cold]
+    fn read_u64_wrapping(&self, addr: u64) -> u64 {
         let mut bytes = [0u8; 8];
         for (i, b) in bytes.iter_mut().enumerate() {
             *b = self.data[self.wrap(addr.wrapping_add(i as u64)) as usize];
@@ -45,11 +85,13 @@ impl MainMemory {
         u64::from_le_bytes(bytes)
     }
 
-    /// Writes a little-endian 64-bit word at a wrapped address.
-    pub fn write_u64(&mut self, addr: u64, value: u64) {
+    /// [`MainMemory::write_u64`] of a word straddling the wrap point.
+    #[cold]
+    fn write_u64_wrapping(&mut self, addr: u64, value: u64) {
         for (i, b) in value.to_le_bytes().iter().enumerate() {
             let a = self.wrap(addr.wrapping_add(i as u64)) as usize;
             self.data[a] = *b;
+            self.touch(a);
         }
     }
 
@@ -58,24 +100,51 @@ impl MainMemory {
         self.data.len()
     }
 
-    /// Serializes the memory image sparsely: all-zero 4 KiB pages are
-    /// skipped, so a checkpoint costs space proportional to the touched
+    /// Marks the page holding window offset `a` as touched.
+    #[inline]
+    fn touch(&mut self, a: usize) {
+        let page = a / CKPT_PAGE;
+        self.touched[page / 64] |= 1 << (page % 64);
+    }
+
+    /// Byte range of page `i` (the last page of a sub-page window is
+    /// short).
+    fn page_range(&self, i: usize) -> std::ops::Range<usize> {
+        let start = i * CKPT_PAGE;
+        start..(start + CKPT_PAGE).min(self.data.len())
+    }
+
+    /// Indices of the touched pages, ascending.
+    fn touched_pages(&self) -> impl Iterator<Item = usize> + '_ {
+        self.touched
+            .iter()
+            .enumerate()
+            .flat_map(|(w, &bits)| set_bits(bits).map(move |b| w * 64 + b))
+    }
+
+    /// Serializes the memory image sparsely: window size, the count of
+    /// non-zero pages, then each non-zero page as (index, bytes) in
+    /// ascending index order. Only touched pages are visited, so a
+    /// checkpoint costs space and time proportional to the touched
     /// footprint, not the configured window.
     pub(crate) fn ckpt_save(&self, w: &mut CkptWriter) {
         w.u64(self.data.len() as u64);
-        let pages = self.data.chunks(CKPT_PAGE);
-        let nonzero = pages.clone().filter(|p| p.iter().any(|&b| b != 0)).count();
-        w.u64(nonzero as u64);
-        for (i, page) in pages.enumerate() {
-            if page.iter().any(|&b| b != 0) {
-                w.u64(i as u64);
-                w.bytes(page);
-            }
+        let nonzero = || {
+            self.touched_pages().filter(|&i| self.data[self.page_range(i)].iter().any(|&b| b != 0))
+        };
+        w.u64(nonzero().count() as u64);
+        for i in nonzero() {
+            w.u64(i as u64);
+            w.bytes(&self.data[self.page_range(i)]);
         }
     }
 
     /// Restores the memory image, zeroing everything not present in the
-    /// checkpoint (restore is wholesale, never a partial overlay).
+    /// checkpoint (restore is wholesale, never a partial overlay). Only
+    /// touched pages can hold non-zero bytes, so only they are zeroed;
+    /// the bitmap is then rebuilt from the loaded pages. Page indices
+    /// must be strictly ascending, as [`MainMemory::ckpt_save`] writes
+    /// them.
     pub(crate) fn ckpt_load(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
         let size = r.u64()? as usize;
         if size != self.data.len() {
@@ -84,25 +153,69 @@ impl MainMemory {
                 self.data.len()
             )));
         }
-        self.data.fill(0);
         let pages = r.seq_len(16)?;
+        let window_pages = size.div_ceil(CKPT_PAGE);
+        if pages > window_pages {
+            return Err(CkptError::Corrupt(format!(
+                "{pages} memory pages in checkpoint, the window has {window_pages}"
+            )));
+        }
+        for w in 0..self.touched.len() {
+            for b in set_bits(std::mem::take(&mut self.touched[w])) {
+                let range = self.page_range(w * 64 + b);
+                self.data[range].fill(0);
+            }
+        }
+        let mut prev: Option<usize> = None;
         for _ in 0..pages {
             let i = r.u64()? as usize;
+            if let Some(p) = prev.filter(|&p| i <= p) {
+                return Err(CkptError::Corrupt(format!(
+                    "memory page {i} follows page {p} (indices must ascend strictly)"
+                )));
+            }
+            prev = Some(i);
+            if i >= window_pages {
+                return Err(CkptError::Corrupt(format!("memory page {i} outside the window")));
+            }
             let bytes = r.bytes()?;
-            let start = i
-                .checked_mul(CKPT_PAGE)
-                .filter(|&s| s < size)
-                .ok_or_else(|| CkptError::Corrupt(format!("memory page {i} outside the window")))?;
-            if bytes.len() != CKPT_PAGE.min(size - start) {
+            let range = self.page_range(i);
+            if bytes.len() != range.len() {
                 return Err(CkptError::Corrupt(format!(
                     "memory page {i} has {} bytes",
                     bytes.len()
                 )));
             }
-            self.data[start..start + bytes.len()].copy_from_slice(bytes);
+            self.touch(range.start);
+            self.data[range].copy_from_slice(bytes);
         }
         Ok(())
     }
+}
+
+/// Copies only the touched pages into a fresh zeroed window (the oracle
+/// predictor clones memory to pre-compute its outcome feed).
+impl Clone for MainMemory {
+    fn clone(&self) -> MainMemory {
+        let mut m = MainMemory::new(self.data.len());
+        for i in self.touched_pages() {
+            let range = self.page_range(i);
+            m.data[range.clone()].copy_from_slice(&self.data[range]);
+        }
+        m.touched.copy_from_slice(&self.touched);
+        m
+    }
+}
+
+/// Indices of the set bits of `word`, ascending.
+fn set_bits(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let b = word.trailing_zeros() as usize;
+            word &= word - 1;
+            b
+        })
+    })
 }
 
 /// One set-associative, LRU cache level (tag store only — the latency
@@ -283,6 +396,7 @@ impl Hierarchy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::prop::{for_each_case, Rng};
 
     fn tiny_cache() -> Cache {
         // 4 sets × 2 ways × 64 B lines = 512 B.
@@ -313,6 +427,164 @@ mod tests {
         m.write_u64(0, 0x0102_0304_0506_0708);
         // Overlapping read shifted by one byte.
         assert_eq!(m.read_u64(1) & 0xff, 0x07);
+    }
+
+    fn encode(m: &MainMemory) -> Vec<u8> {
+        let mut w = CkptWriter::new();
+        m.ckpt_save(&mut w);
+        w.finish()
+    }
+
+    fn decode(m: &mut MainMemory, bytes: &[u8]) -> Result<(), CkptError> {
+        let mut r = CkptReader::new(bytes);
+        m.ckpt_load(&mut r)?;
+        r.done()
+    }
+
+    /// Reference encoder: a scan of every page in the window, blind to
+    /// the touched-page bitmap. The sparse encoder must match it byte
+    /// for byte.
+    fn dense_encode(m: &MainMemory) -> Vec<u8> {
+        let mut w = CkptWriter::new();
+        w.u64(m.data.len() as u64);
+        let pages = m.data.chunks(CKPT_PAGE);
+        let nonzero = pages.clone().filter(|p| p.iter().any(|&b| b != 0)).count();
+        w.u64(nonzero as u64);
+        for (i, page) in pages.enumerate() {
+            if page.iter().any(|&b| b != 0) {
+                w.u64(i as u64);
+                w.bytes(page);
+            }
+        }
+        w.finish()
+    }
+
+    /// Checks the bitmap invariant: no non-zero byte outside a touched
+    /// page.
+    fn assert_touched_covers_nonzero(m: &MainMemory) {
+        for (i, page) in m.data.chunks(CKPT_PAGE).enumerate() {
+            let touched = m.touched[i / 64] & (1 << (i % 64)) != 0;
+            assert!(touched || page.iter().all(|&b| b == 0), "page {i} is non-zero but untouched");
+        }
+    }
+
+    /// Random stores: anywhere in the window, across page boundaries,
+    /// across the wrap point, at garbage 64-bit addresses, and zero
+    /// rewrites of earlier addresses (pages written but zero again).
+    fn random_writes(m: &mut MainMemory, rng: &mut Rng, n: usize) {
+        let size = m.size() as u64;
+        let pages = size.div_ceil(CKPT_PAGE as u64);
+        let mut written = Vec::new();
+        for _ in 0..n {
+            let addr = match rng.below(5) {
+                0 => rng.below(size),
+                1 => (rng.below(pages) * CKPT_PAGE as u64).wrapping_sub(rng.range(1, 8) as u64),
+                2 => size - rng.range(1, 8) as u64,
+                3 => rng.next_u64(),
+                _ if !written.is_empty() => {
+                    let a = written[rng.range(0, written.len())];
+                    m.write_u64(a, 0);
+                    continue;
+                }
+                _ => rng.below(size),
+            };
+            let value = if rng.chance(1, 4) { 0 } else { rng.next_u64() };
+            m.write_u64(addr, value);
+            written.push(addr);
+        }
+    }
+
+    #[test]
+    fn sparse_codec_matches_dense_scan_and_restores_wholesale() {
+        for_each_case("sparse memory codec", 64, 0x6d65_6d63_6b70, |rng| {
+            let size = [1usize << 10, 1 << 12, 1 << 16][rng.range(0, 3)];
+            let mut m = MainMemory::new(size);
+            let n = rng.range(0, 200);
+            random_writes(&mut m, rng, n);
+            assert_touched_covers_nonzero(&m);
+            let bytes = encode(&m);
+            assert_eq!(bytes, dense_encode(&m), "sparse encoding must equal the full-window scan");
+            for _ in 0..32 {
+                let a = rng.next_u64();
+                let bytewise = (0..8)
+                    .rev()
+                    .fold(0u64, |v, i| v << 8 | m.data[m.wrap(a.wrapping_add(i)) as usize] as u64);
+                assert_eq!(m.read_u64(a), bytewise, "read_u64({a:#x})");
+            }
+
+            // Restoring into a memory dirtied elsewhere must give the same
+            // image, and the same re-snapshot, as restoring into a fresh one.
+            let mut fresh = MainMemory::new(size);
+            decode(&mut fresh, &bytes).expect("fresh restore");
+            let mut dirty = MainMemory::new(size);
+            let n = rng.range(1, 200);
+            random_writes(&mut dirty, rng, n);
+            decode(&mut dirty, &bytes).expect("dirty restore");
+            assert!(fresh.data == m.data, "fresh restore must reproduce the image");
+            assert!(dirty.data == m.data, "dirty restore must reproduce the image");
+            assert_eq!(encode(&fresh), bytes);
+            assert_eq!(encode(&dirty), bytes);
+            assert_touched_covers_nonzero(&fresh);
+            assert_touched_covers_nonzero(&dirty);
+
+            let clone = m.clone();
+            for (i, (a, b)) in
+                clone.data.chunks(CKPT_PAGE).zip(m.data.chunks(CKPT_PAGE)).enumerate()
+            {
+                assert!(a == b, "clone differs on page {i}");
+            }
+            assert_touched_covers_nonzero(&clone);
+        });
+    }
+
+    #[test]
+    fn ckpt_load_rejects_more_pages_than_the_window_holds() {
+        let mut w = CkptWriter::new();
+        w.u64(1 << 16); // 16 pages
+        w.u64(17);
+        for i in 0..17 {
+            w.u64(i);
+            w.bytes(&[]);
+        }
+        let err = decode(&mut MainMemory::new(1 << 16), &w.finish()).unwrap_err();
+        assert_eq!(
+            err,
+            CkptError::Corrupt("17 memory pages in checkpoint, the window has 16".into())
+        );
+    }
+
+    fn two_page_image(first: u64, second: u64) -> Vec<u8> {
+        let mut w = CkptWriter::new();
+        w.u64(1 << 16);
+        w.u64(2);
+        for i in [first, second] {
+            w.u64(i);
+            w.bytes(&[1; CKPT_PAGE]);
+        }
+        w.finish()
+    }
+
+    #[test]
+    fn ckpt_load_rejects_duplicate_page_indices() {
+        let err = decode(&mut MainMemory::new(1 << 16), &two_page_image(3, 3)).unwrap_err();
+        assert_eq!(
+            err,
+            CkptError::Corrupt(
+                "memory page 3 follows page 3 (indices must ascend strictly)".into()
+            )
+        );
+    }
+
+    #[test]
+    fn ckpt_load_rejects_descending_page_indices() {
+        let err = decode(&mut MainMemory::new(1 << 16), &two_page_image(5, 2)).unwrap_err();
+        assert_eq!(
+            err,
+            CkptError::Corrupt(
+                "memory page 2 follows page 5 (indices must ascend strictly)".into()
+            )
+        );
+        assert!(decode(&mut MainMemory::new(1 << 16), &two_page_image(2, 5)).is_ok());
     }
 
     #[test]

@@ -203,22 +203,34 @@ fn sample_records_and_report_are_independent_of_worker_count() {
 /// resumed from a mid-run checkpoint produces bit-identical final stats,
 /// CPI-stack slots, and trace byte-stream to the straight-through run.
 /// The snapshot itself must also round-trip: re-snapshotting immediately
-/// after a restore reproduces the original bytes.
+/// after a restore reproduces the original bytes. Both hold whether the
+/// restore target is a fresh simulator or one that already ran past the
+/// snapshot point (restore is wholesale: memory pages the snapshot lacks
+/// must read as zero afterwards), and the snapshot bytes are pinned so a
+/// change to the memory encoding cannot move them unnoticed.
 #[test]
 fn checkpoint_restore_resumes_bit_identically_for_every_engine() {
     use mssr::core::{RegisterIntegration, RiConfig};
-    use mssr::sim::{BufferSink, ReuseEngine, Simulator};
+    use mssr::sim::{fnv1a64, BufferSink, ReuseEngine, Simulator};
     let w = microbench::nested_mispred(200);
     type MkEngine = fn() -> Option<Box<dyn ReuseEngine>>;
-    let engines: [(&str, MkEngine); 4] = [
-        ("base", || None),
-        ("mssr", || Some(Box::new(MultiStreamReuse::new(MssrConfig::default())))),
+    // (name, engine, pinned fnv1a64 of the K-instruction snapshot).
+    let engines: [(&str, MkEngine, Option<u64>); 4] = [
+        ("base", || None, Some(PIN_BASE)),
+        ("mssr", || Some(Box::new(MultiStreamReuse::new(MssrConfig::default()))), Some(PIN_MSSR)),
         // streams = 1 degenerates MSSR to classic DCI.
-        ("dci", || Some(Box::new(MultiStreamReuse::new(MssrConfig::default().with_streams(1))))),
-        ("ri", || Some(Box::new(RegisterIntegration::new(RiConfig::default())))),
+        (
+            "dci",
+            || Some(Box::new(MultiStreamReuse::new(MssrConfig::default().with_streams(1)))),
+            None,
+        ),
+        ("ri", || Some(Box::new(RegisterIntegration::new(RiConfig::default()))), Some(PIN_RI)),
     ];
     const K: u64 = 500; // snapshot boundary, in committed instructions
-    for (name, mk) in engines {
+                        // A word far from the workload's footprint, dirtied in the used
+                        // restore target only.
+    const STRAY: u64 = 0x1f0_0008;
+    for (name, mk, pin) in engines {
         let instantiate = |e: Option<Box<dyn ReuseEngine>>| -> Simulator {
             match e {
                 Some(e) => w.instantiate_with(cfg(), e),
@@ -237,28 +249,76 @@ fn checkpoint_restore_resumes_bit_identically_for_every_engine() {
         let stats_a = w.finish(&mut a);
         let account_a = format!("{:?}", a.account());
 
-        // Checkpointed run: identical prefix, snapshot, restore into a
-        // *fresh* simulator, then finish under a sink of its own.
         let mut b = instantiate(mk());
         b.run_until_insts(K);
         let bytes = b.snapshot();
-        let mut c = instantiate(mk());
-        c.restore(&bytes).unwrap_or_else(|e| panic!("{name}: restore failed: {e}"));
-        assert_eq!(c.snapshot(), bytes, "{name}: snapshot must round-trip byte-identically");
-        let sink = BufferSink::new();
-        let trace_c = sink.handle();
-        c.set_trace_sink(Box::new(sink));
-        let stats_c = w.finish(&mut c);
-        let account_c = format!("{:?}", c.account());
+        if let Some(pin) = pin {
+            assert_eq!(fnv1a64(&bytes), pin, "{name}: snapshot bytes moved");
+        }
 
-        assert_eq!(stats_a.to_json(), stats_c.to_json(), "{name}: final stats diverged");
-        assert_eq!(account_a, account_c, "{name}: CPI-stack slots diverged");
-        assert_eq!(
-            *trace_a.lock().unwrap(),
-            *trace_c.lock().unwrap(),
-            "{name}: trace byte-stream diverged"
-        );
+        // Restore into a *fresh* simulator, and into one that ran on to
+        // 2K (dirtying memory the snapshot never saw), then finish each
+        // under a sink of its own.
+        let mut used = instantiate(mk());
+        used.run_until_insts(2 * K);
+        assert!(!used.is_halted(), "{name}: the used target must still be mid-run");
+        used.write_mem_u64(STRAY, 0x5eed);
+        for (target, mut c) in [("fresh", instantiate(mk())), ("used", used)] {
+            c.restore(&bytes).unwrap_or_else(|e| panic!("{name}/{target}: restore failed: {e}"));
+            assert_eq!(c.read_mem_u64(STRAY), 0, "{name}/{target}: stale memory survived restore");
+            assert_eq!(
+                c.snapshot(),
+                bytes,
+                "{name}/{target}: snapshot must round-trip byte-identically"
+            );
+            let sink = BufferSink::new();
+            let trace_c = sink.handle();
+            c.set_trace_sink(Box::new(sink));
+            let stats_c = w.finish(&mut c);
+            let account_c = format!("{:?}", c.account());
+
+            assert_eq!(
+                stats_a.to_json(),
+                stats_c.to_json(),
+                "{name}/{target}: final stats diverged"
+            );
+            assert_eq!(account_a, account_c, "{name}/{target}: CPI-stack slots diverged");
+            assert_eq!(
+                *trace_a.lock().unwrap(),
+                *trace_c.lock().unwrap(),
+                "{name}/{target}: trace byte-stream diverged"
+            );
+        }
     }
+}
+
+// fnv1a64 of `nested_mispred(200)` snapshots at K = 500. Moving these
+// bytes is a checkpoint format change, which bumps `CKPT_VERSION`.
+const PIN_BASE: u64 = 0x6127_c1ac_f602_313a;
+const PIN_MSSR: u64 = 0x8660_d49a_5db2_c00b;
+const PIN_RI: u64 = 0xb096_a668_1f3b_28fa;
+
+/// Snapshot bytes of a medium-scale GAP kernel are pinned the same way,
+/// with a larger memory footprint than the microbenchmark's and a
+/// fast-forward prefix, and restore over a simulator that ran further.
+#[test]
+fn medium_gap_snapshot_bytes_are_pinned() {
+    use mssr::sim::fnv1a64;
+    // fnv1a64 of the snapshot (see `PIN_BASE`).
+    const PIN_BFS: u64 = 0x4bcc_0112_9c33_4851;
+    let w = gap::bfs(&Graph::uniform(1024, 8, 12));
+    let mut a = w.instantiate(cfg());
+    a.fast_forward(20_000);
+    a.run_until_insts(1_000);
+    assert!(!a.is_halted(), "the snapshot point must land mid-run");
+    let bytes = a.snapshot();
+    assert_eq!(fnv1a64(&bytes), PIN_BFS, "bfs snapshot bytes moved");
+    let mut used = w.instantiate(cfg());
+    used.fast_forward(40_000);
+    used.run_until_insts(1_000);
+    assert!(!used.is_halted(), "the used target must still be mid-run");
+    used.restore(&bytes).expect("restore over a used simulator");
+    assert_eq!(used.snapshot(), bytes, "restore over a used simulator must round-trip");
 }
 
 /// Grid-level checkpointing: `--ffwd` warming is byte-identical across
