@@ -855,10 +855,8 @@ fn merge_stats(a: &mut SimStats, b: &SimStats, f: fn(u64, u64) -> u64) {
     e.pressure_reclaims = f(e.pressure_reclaims, g.pressure_reclaims);
     e.table_replacements = f(e.table_replacements, g.table_replacements);
     for (k, v) in &g.extra {
-        match e.extra.iter_mut().find(|(key, _)| key == k) {
-            Some((_, slot)) => *slot = f(*slot, *v),
-            None => e.extra.push((k.clone(), f(0, *v))),
-        }
+        let slot = e.extra_mut(k);
+        *slot = f(*slot, *v);
     }
     for (d, s) in a.account.slots.iter_mut().zip(b.account.slots) {
         *d = f(*d, s);

@@ -66,6 +66,11 @@ pub mod complexity;
 mod config;
 mod engine;
 pub mod memcheck;
+/// The workspace's std-only property-test harness, shared with the
+/// integration tests.
+#[cfg(test)]
+#[path = "../../../tests/common/prop.rs"]
+mod prop;
 mod ri;
 pub mod storage;
 mod stream;

@@ -107,8 +107,19 @@ pub type RiCounters = Rc<RefCell<Vec<u64>>>;
 #[derive(Debug)]
 pub struct RegisterIntegration {
     cfg: RiConfig,
-    /// `table[set][way]`.
-    table: Vec<Vec<Option<RiEntry>>>,
+    /// The reuse table, indexed by slot `set * ways + way`.
+    table: Vec<Option<RiEntry>>,
+    /// Valid entries in `table`, kept current so occupancy is O(1).
+    valid: usize,
+    /// Reverse index: row `p` (`words` u64s starting at `p * words`) is a
+    /// bitset of the slots whose entry names physical register `p` among
+    /// its sources. A bit is set exactly when that slot's entry has
+    /// `Some(p)` in `src_pregs`. Rows are grown lazily; a register past
+    /// the last row is named by no entry. Derived from `table`, so never
+    /// checkpointed.
+    refs: Vec<u64>,
+    /// Words per `refs` row: `ceil(sets * ways / 64)`.
+    words: usize,
     tick: u64,
     replacements: RiCounters,
     bloom: BloomFilter,
@@ -118,18 +129,23 @@ pub struct RegisterIntegration {
     /// last Bloom clear and are never inserted as reusable (see the
     /// equivalent barrier in `MultiStreamReuse`).
     bloom_barrier: SeqNum,
-    /// Reusable victim-scan buffers for [`Self::invalidate_referencing`]:
-    /// the evict recursion needs one list per depth, so each call pops a
-    /// buffer and returns it when done. Transient — never checkpointed.
-    scan_pool: Vec<Vec<(usize, usize)>>,
+    /// Reusable victim-set buffers for [`Self::invalidate_referencing`]:
+    /// the evict recursion needs one copied `refs` row per depth, so each
+    /// call pops a buffer and returns it when done. Transient — never
+    /// checkpointed.
+    scan_pool: Vec<Vec<u64>>,
     stats: EngineStats,
 }
 
 impl RegisterIntegration {
     /// Creates an empty reuse table.
     pub fn new(cfg: RiConfig) -> RegisterIntegration {
+        let slots = cfg.sets * cfg.ways;
         RegisterIntegration {
-            table: vec![vec![None; cfg.ways]; cfg.sets],
+            table: vec![None; slots],
+            valid: 0,
+            refs: Vec::new(),
+            words: slots.div_ceil(64),
             tick: 0,
             replacements: Rc::new(RefCell::new(vec![0; cfg.sets])),
             bloom: BloomFilter::new(cfg.bloom_bits),
@@ -153,70 +169,85 @@ impl RegisterIntegration {
 
     /// Number of valid entries (tests and introspection).
     pub fn occupancy(&self) -> usize {
-        self.table.iter().flatten().filter(|e| e.is_some()).count()
+        self.valid
     }
 
     fn set_index(&self, pc: Pc) -> usize {
         (pc.addr() >> 2) as usize % self.cfg.sets
     }
 
+    /// The slots of `set`, way 0 first.
+    fn set_slots(&self, set: usize) -> std::ops::Range<usize> {
+        set * self.cfg.ways..(set + 1) * self.cfg.ways
+    }
+
+    /// Fills an empty slot and records its sources in the reverse index.
+    fn insert(&mut self, slot: usize, e: RiEntry) {
+        debug_assert!(self.table[slot].is_none());
+        for p in e.src_pregs.into_iter().flatten() {
+            let row = p.index() * self.words;
+            if self.refs.len() < row + self.words {
+                self.refs.resize(row + self.words, 0);
+            }
+            self.refs[row + slot / 64] |= 1 << (slot % 64);
+        }
+        self.table[slot] = Some(e);
+        self.valid += 1;
+    }
+
+    /// Empties a slot, dropping its sources from the reverse index.
+    fn remove(&mut self, slot: usize) -> Option<RiEntry> {
+        let e = self.table[slot].take()?;
+        for p in e.src_pregs.into_iter().flatten() {
+            // Present: `insert` grew the row when it set this bit.
+            self.refs[p.index() * self.words + slot / 64] &= !(1 << (slot % 64));
+        }
+        self.valid -= 1;
+        Some(e)
+    }
+
     /// Removes an entry, releasing its destination register and
     /// transitively invalidating entries that referenced it as a source
     /// (§3.7.2's expensive operation, implemented as the paper describes).
-    fn evict(&mut self, set: usize, way: usize, ctx: &mut EngineCtx<'_>) {
-        let Some(e) = self.table[set][way].take() else { return };
+    fn evict(&mut self, slot: usize, ctx: &mut EngineCtx<'_>) {
+        let Some(e) = self.remove(slot) else { return };
         let dead = e.dst_preg;
         ctx.free_list.release(dead);
         self.invalidate_referencing(dead, ctx);
     }
 
+    /// Evicts every entry naming `p` as a source, in ascending slot
+    /// order: O(entries that name `p`), not O(sets × ways).
     fn invalidate_referencing(&mut self, p: PhysReg, ctx: &mut EngineCtx<'_>) {
-        // Collect victims first to keep the recursion simple. The buffer
-        // comes from the pool (one per recursion depth) so steady-state
-        // invalidation never allocates.
+        let row = p.index() * self.words;
+        let Some(bits) = self.refs.get(row..row + self.words) else { return };
+        // Snapshot the victim set first: deeper evictions clear bits, and
+        // a victim they already removed still counts once here. The
+        // buffer comes from the pool (one per recursion depth) so
+        // steady-state invalidation never allocates.
         let mut victims = self.scan_pool.pop().unwrap_or_default();
-        debug_assert!(victims.is_empty());
-        for (s, set) in self.table.iter().enumerate() {
-            for (w, e) in set.iter().enumerate() {
-                if let Some(e) = e {
-                    if e.src_pregs.contains(&Some(p)) {
-                        victims.push((s, w));
-                    }
-                }
+        victims.clear();
+        victims.extend_from_slice(bits);
+        for (i, &word) in victims.iter().enumerate() {
+            let mut word = word;
+            while word != 0 {
+                let slot = i * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                *self.stats.extra_mut("ri_transitive_invalidations") += 1;
+                self.evict(slot, ctx);
             }
         }
-        for &(s, w) in &victims {
-            self.stats.extra_count("ri_transitive_invalidations", 1);
-            self.evict(s, w, ctx);
-        }
-        victims.clear();
         self.scan_pool.push(victims);
     }
 
     fn clear_table(&mut self, ctx: &mut EngineCtx<'_>) {
-        for set in 0..self.cfg.sets {
-            for way in 0..self.cfg.ways {
-                if let Some(e) = self.table[set][way].take() {
-                    ctx.free_list.release(e.dst_preg);
-                }
+        for slot in 0..self.table.len() {
+            if let Some(e) = self.remove(slot) {
+                ctx.free_list.release(e.dst_preg);
             }
         }
         self.bloom.clear();
         self.bloom_barrier = self.max_seen_seq;
-    }
-}
-
-trait ExtraCount {
-    fn extra_count(&mut self, key: &str, n: u64);
-}
-
-impl ExtraCount for EngineStats {
-    fn extra_count(&mut self, key: &str, n: u64) {
-        if let Some(e) = self.extra.iter_mut().find(|(k, _)| k == key) {
-            e.1 += n;
-        } else {
-            self.extra.push((key.to_string(), n));
-        }
     }
 }
 
@@ -244,16 +275,17 @@ impl ReuseEngine for RegisterIntegration {
             self.tick += 1;
             let set = self.set_index(inst.pc);
             // Pick an invalid way, else the LRU victim.
-            let way = match (0..self.cfg.ways).find(|&w| self.table[set][w].is_none()) {
-                Some(w) => w,
+            let slot = match self.set_slots(set).find(|&s| self.table[s].is_none()) {
+                Some(s) => s,
                 None => {
-                    let w = (0..self.cfg.ways)
-                        .min_by_key(|&w| self.table[set][w].as_ref().map_or(0, |e| e.lru))
+                    let s = self
+                        .set_slots(set)
+                        .min_by_key(|&s| self.table[s].as_ref().map_or(0, |e| e.lru))
                         .expect("at least one way");
                     self.replacements.borrow_mut()[set] += 1;
                     self.stats.table_replacements += 1;
-                    self.evict(set, w, ctx);
-                    w
+                    self.evict(s, ctx);
+                    s
                 }
             };
             // The squashed instruction's *source* physical names are not
@@ -263,16 +295,20 @@ impl ReuseEngine for RegisterIntegration {
             // ROB — reconstructed here from the event's extension below.
             let src_pregs = inst_src_pregs(inst);
             ctx.free_list.retain(dst_preg);
-            self.table[set][way] = Some(RiEntry {
-                pc: inst.pc,
-                op: inst.op,
-                dst_arch,
-                dst_preg,
-                src_pregs,
-                is_load: inst.is_load,
-                load_addr: inst.load_addr,
-                lru: self.tick,
-            });
+            let lru = self.tick;
+            self.insert(
+                slot,
+                RiEntry {
+                    pc: inst.pc,
+                    op: inst.op,
+                    dst_arch,
+                    dst_preg,
+                    src_pregs,
+                    is_load: inst.is_load,
+                    load_addr: inst.load_addr,
+                    lru,
+                },
+            );
             self.stats.entries_logged += 1;
         }
         self.stats.streams_captured += 1;
@@ -283,19 +319,19 @@ impl ReuseEngine for RegisterIntegration {
         let set = self.set_index(q.pc);
         self.tick += 1;
         let tick = self.tick;
-        let way = (0..self.cfg.ways).find(|&w| {
-            self.table[set][w].as_ref().is_some_and(|e| {
+        let slot = self.set_slots(set).find(|&s| {
+            self.table[s].as_ref().is_some_and(|e| {
                 e.pc == q.pc
                     && e.op == q.inst.op()
                     && Some(e.dst_arch) == q.inst.dst()
                     && e.src_pregs == q.src_pregs
             })
         });
-        let Some(way) = way else {
+        let Some(slot) = slot else {
             self.stats.reuse_fail_stale += 1;
             return None;
         };
-        let e = self.table[set][way].as_mut().expect("matched way is valid");
+        let e = self.table[slot].as_mut().expect("matched way is valid");
         e.lru = tick;
         let needs_load_verify = if e.is_load {
             match self.cfg.mem_policy {
@@ -313,14 +349,14 @@ impl ReuseEngine for RegisterIntegration {
         };
         // Integration: the entry is consumed and its hold transfers to
         // the live mapping.
-        let e = self.table[set][way].take().expect("matched way is valid");
+        let e = self.remove(slot).expect("matched way is valid");
         let _ = ctx;
         if crate::trace_enabled() {
             eprintln!("ri-grant pc={} op={}", q.pc, e.op);
         }
         self.stats.reuse_grants += 1;
         if q.src_pregs == [None, None] {
-            self.stats.extra_count("ri_no_src_grants", 1);
+            *self.stats.extra_mut("ri_no_src_grants") += 1;
         }
         if e.is_load {
             self.stats.reused_loads += 1;
@@ -400,22 +436,21 @@ impl ReuseEngine for RegisterIntegration {
         w.u64(fnv1a64(format!("{:?}", self.cfg).as_bytes()));
         // The table dimensions and replacement-counter length are fixed
         // by the (guarded) configuration, so no length prefixes needed.
-        for set in &self.table {
-            for e in set {
-                match e {
-                    None => w.bool(false),
-                    Some(e) => {
-                        w.bool(true);
-                        w.pc(e.pc);
-                        w.u8(e.op.code());
-                        w.u8(e.dst_arch.index() as u8);
-                        w.preg(e.dst_preg);
-                        w.opt_preg(e.src_pregs[0]);
-                        w.opt_preg(e.src_pregs[1]);
-                        w.bool(e.is_load);
-                        w.opt_u64(e.load_addr);
-                        w.u64(e.lru);
-                    }
+        // Slots go out in ascending order, i.e. set-major.
+        for e in &self.table {
+            match e {
+                None => w.bool(false),
+                Some(e) => {
+                    w.bool(true);
+                    w.pc(e.pc);
+                    w.u8(e.op.code());
+                    w.u8(e.dst_arch.index() as u8);
+                    w.preg(e.dst_preg);
+                    w.opt_preg(e.src_pregs[0]);
+                    w.opt_preg(e.src_pregs[1]);
+                    w.bool(e.is_load);
+                    w.opt_u64(e.load_addr);
+                    w.u64(e.lru);
                 }
             }
         }
@@ -433,25 +468,27 @@ impl ReuseEngine for RegisterIntegration {
         if r.u64()? != fnv1a64(format!("{:?}", self.cfg).as_bytes()) {
             return Err(CkptError::ConfigMismatch);
         }
-        for set in &mut self.table {
-            for slot in set {
-                *slot = if r.bool()? {
-                    let pc = r.pc()?;
-                    let op = opcode_from(r)?;
-                    let dst_arch = arch_reg_from(r)?;
-                    Some(RiEntry {
-                        pc,
-                        op,
-                        dst_arch,
-                        dst_preg: r.preg()?,
-                        src_pregs: [r.opt_preg()?, r.opt_preg()?],
-                        is_load: r.bool()?,
-                        load_addr: r.opt_u64()?,
-                        lru: r.u64()?,
-                    })
-                } else {
-                    None
+        // Rebuild the reverse index and the occupancy count from the
+        // loaded table alone; nothing from the previous run survives.
+        self.table.fill(None);
+        self.valid = 0;
+        self.refs.fill(0);
+        for slot in 0..self.table.len() {
+            if r.bool()? {
+                let pc = r.pc()?;
+                let op = opcode_from(r)?;
+                let dst_arch = arch_reg_from(r)?;
+                let e = RiEntry {
+                    pc,
+                    op,
+                    dst_arch,
+                    dst_preg: r.preg()?,
+                    src_pregs: [r.opt_preg()?, r.opt_preg()?],
+                    is_load: r.bool()?,
+                    load_addr: r.opt_u64()?,
+                    lru: r.u64()?,
                 };
+                self.insert(slot, e);
             }
         }
         self.tick = r.u64()?;
@@ -625,6 +662,288 @@ mod tests {
         let ri = RegisterIntegration::new(RiConfig::default());
         assert_eq!(ri.occupancy(), 0);
         assert_eq!(ri.replacement_counters().borrow().len(), 64);
+    }
+
+    /// Reference model for the differential test: the table as
+    /// `table[set][way]` with the full-scan transitive invalidation the
+    /// reverse index replaces. Load-verification policy only.
+    struct Model {
+        table: Vec<Vec<Option<RiEntry>>>,
+        tick: u64,
+        stats: EngineStats,
+    }
+
+    impl Model {
+        fn new(sets: usize, ways: usize) -> Model {
+            Model { table: vec![vec![None; ways]; sets], tick: 0, stats: EngineStats::default() }
+        }
+
+        fn set_index(&self, pc: Pc) -> usize {
+            (pc.addr() >> 2) as usize % self.table.len()
+        }
+
+        fn occupancy(&self) -> usize {
+            self.table.iter().flatten().filter(|e| e.is_some()).count()
+        }
+
+        fn stats(&self) -> EngineStats {
+            let mut s = self.stats.clone();
+            s.extra.push(("ri_occupancy".to_string(), self.occupancy() as u64));
+            s
+        }
+
+        fn evict(&mut self, set: usize, way: usize, fl: &mut FreeList) {
+            let Some(e) = self.table[set][way].take() else { return };
+            fl.release(e.dst_preg);
+            self.invalidate_referencing(e.dst_preg, fl);
+        }
+
+        fn invalidate_referencing(&mut self, p: PhysReg, fl: &mut FreeList) {
+            let mut victims = Vec::new();
+            for (s, set) in self.table.iter().enumerate() {
+                for (w, e) in set.iter().enumerate() {
+                    if e.as_ref().is_some_and(|e| e.src_pregs.contains(&Some(p))) {
+                        victims.push((s, w));
+                    }
+                }
+            }
+            for (s, w) in victims {
+                *self.stats.extra_mut("ri_transitive_invalidations") += 1;
+                self.evict(s, w, fl);
+            }
+        }
+
+        fn clear(&mut self, fl: &mut FreeList) {
+            for e in self.table.iter_mut().flatten() {
+                if let Some(e) = e.take() {
+                    fl.release(e.dst_preg);
+                }
+            }
+        }
+
+        fn squash(&mut self, ev: &SquashEvent, fl: &mut FreeList) {
+            for inst in &ev.insts {
+                let Some(d) = inst.dst.filter(|_| inst.executed) else { continue };
+                self.tick += 1;
+                let set = self.set_index(inst.pc);
+                let ways = self.table[set].len();
+                let way = match (0..ways).find(|&w| self.table[set][w].is_none()) {
+                    Some(w) => w,
+                    None => {
+                        let w = (0..ways)
+                            .min_by_key(|&w| self.table[set][w].as_ref().map_or(0, |e| e.lru))
+                            .unwrap();
+                        self.stats.table_replacements += 1;
+                        self.evict(set, w, fl);
+                        w
+                    }
+                };
+                fl.retain(d.preg);
+                self.table[set][way] = Some(RiEntry {
+                    pc: inst.pc,
+                    op: inst.op,
+                    dst_arch: d.arch,
+                    dst_preg: d.preg,
+                    src_pregs: inst.src_pregs,
+                    is_load: inst.is_load,
+                    load_addr: inst.load_addr,
+                    lru: self.tick,
+                });
+                self.stats.entries_logged += 1;
+            }
+            self.stats.streams_captured += 1;
+        }
+
+        fn try_reuse(&mut self, pc: Pc, srcs: [Option<PhysReg>; 2]) -> Option<PhysReg> {
+            self.stats.reuse_tests += 1;
+            self.tick += 1;
+            let set = self.set_index(pc);
+            let hit = self.table[set].iter().position(|e| {
+                e.as_ref().is_some_and(|e| {
+                    e.pc == pc
+                        && e.op == Opcode::Add
+                        && e.dst_arch == ArchReg::A0
+                        && e.src_pregs == srcs
+                })
+            });
+            let Some(way) = hit else {
+                self.stats.reuse_fail_stale += 1;
+                return None;
+            };
+            let e = self.table[set][way].take().unwrap();
+            self.stats.reuse_grants += 1;
+            if srcs == [None, None] {
+                *self.stats.extra_mut("ri_no_src_grants") += 1;
+            }
+            if e.is_load {
+                self.stats.reused_loads += 1;
+            }
+            Some(e.dst_preg)
+        }
+    }
+
+    /// Allocation order: the sequence the free list would hand out.
+    fn alloc_order(fl: &FreeList) -> Vec<PhysReg> {
+        let mut fl = fl.clone();
+        std::iter::from_fn(|| fl.alloc()).collect()
+    }
+
+    /// A random squash event of up to six instructions over `live`
+    /// registers, allocating destinations from both free lists. Sources
+    /// include duplicates and earlier destinations of the same event, so
+    /// entries form dependence chains.
+    fn random_event(
+        rng: &mut crate::prop::Rng,
+        live: &[PhysReg],
+        fls: &mut [&mut FreeList],
+    ) -> SquashEvent {
+        let mut insts: Vec<mssr_sim::SquashedInst> = Vec::new();
+        for _ in 0..rng.range(1, 7) {
+            let allocs: Vec<_> = fls.iter_mut().map(|fl| fl.alloc()).collect();
+            assert!(allocs.windows(2).all(|w| w[0] == w[1]), "allocation order diverged");
+            let Some(dst) = allocs[0] else { break };
+            let pick = |rng: &mut crate::prop::Rng| match rng.below(4) {
+                0 => None,
+                1 if !insts.is_empty() => insts[rng.range(0, insts.len())].dst.map(|d| d.preg),
+                _ => Some(live[rng.range(0, live.len())]),
+            };
+            let a = pick(rng);
+            let b = if rng.chance(1, 5) { a } else { pick(rng) };
+            let mut i = sq_inst(0x1000 + 4 * rng.below(24), dst.index(), [None, None]);
+            i.src_pregs = [a, b];
+            i.executed = rng.chance(9, 10);
+            i.is_load = rng.chance(1, 5);
+            insts.push(i);
+        }
+        event(insts)
+    }
+
+    /// The pipeline's side of a squash: it drops its own hold on every
+    /// squashed destination and reports registers that became free.
+    fn release_squashed(
+        ev: &SquashEvent,
+        fl: &mut FreeList,
+        mut freed: impl FnMut(PhysReg, &mut FreeList),
+    ) {
+        for d in ev.insts.iter().filter_map(|i| i.dst) {
+            fl.release(d.preg);
+            if fl.holds(d.preg) == 0 {
+                freed(d.preg, fl);
+            }
+        }
+    }
+
+    /// Differential test of the reverse index: the engine and the
+    /// full-scan [`Model`] see the same random hook sequence and must
+    /// agree after every step on free-list holds, allocation order,
+    /// occupancy and statistics. Checkpoint steps move the engine's
+    /// state into a fresh engine dirtied with other entries, so a
+    /// reverse index that is not rebuilt from the loaded table shows.
+    #[test]
+    fn reverse_index_matches_full_scan_model() {
+        crate::prop::for_each_case("ri-reverse-index", 48, 0x5249_4e44, |rng| {
+            const REGS: usize = 48;
+            let sets = [1, 3, 4, 37][rng.range(0, 4)];
+            let ways = [1, 2, 4][rng.range(0, 3)];
+            let cfg = RiConfig::default().with_sets(sets).with_ways(ways);
+            let mut ri = RegisterIntegration::new(cfg);
+            let mut model = Model::new(sets, ways);
+            let mut fl = FreeList::new(REGS, 8);
+            let mut flm = fl.clone();
+            let mut live: Vec<PhysReg> = (0..8).map(PhysReg::new).collect();
+            let mut reset = false;
+            let inst = mssr_isa::Inst::alu_rr(Opcode::Add, ArchReg::A0, ArchReg::A1, ArchReg::A2);
+            for step in 0..160 {
+                match rng.below(20) {
+                    0..=2 if live.len() < 24 => {
+                        let (p, q) = (fl.alloc(), flm.alloc());
+                        assert_eq!(p, q, "allocation order diverged");
+                        live.extend(p);
+                    }
+                    0..=7 => {
+                        let ev = random_event(rng, &live, &mut [&mut fl, &mut flm]);
+                        ri.on_mispredict_squash(&ev, &mut ctx(&mut fl, &mut reset));
+                        model.squash(&ev, &mut flm);
+                        release_squashed(&ev, &mut fl, |p, fl| {
+                            ri.on_preg_freed(p, &mut ctx(fl, &mut reset))
+                        });
+                        release_squashed(&ev, &mut flm, |p, fl| {
+                            model.invalidate_referencing(p, fl)
+                        });
+                    }
+                    8..=11 => {
+                        // Mostly a query that matches a valid entry.
+                        let valid: Vec<_> = model.table.iter().flatten().flatten().collect();
+                        let (pc, srcs) = match valid.len() {
+                            n if n > 0 && rng.chance(3, 4) => {
+                                let e = valid[rng.range(0, n)];
+                                (e.pc.addr(), e.src_pregs)
+                            }
+                            _ => (0x1000 + 4 * rng.below(24), [Some(live[0]), None]),
+                        };
+                        let q = ReuseQuery {
+                            seq: SeqNum::new(1000),
+                            pc: Pc::new(pc),
+                            inst: &inst,
+                            src_rgids: [None, None],
+                            src_pregs: srcs,
+                        };
+                        let g = ri.try_reuse(&q, &mut ctx(&mut fl, &mut reset)).map(|g| g.preg);
+                        assert_eq!(g, model.try_reuse(Pc::new(pc), srcs), "grant diverged");
+                        // The entry's hold now backs a live mapping.
+                        live.extend(g);
+                    }
+                    12..=15 if live.len() > 1 => {
+                        let p = live.swap_remove(rng.range(0, live.len()));
+                        fl.release(p);
+                        flm.release(p);
+                        if fl.holds(p) == 0 {
+                            ri.on_preg_freed(p, &mut ctx(&mut fl, &mut reset));
+                            model.invalidate_referencing(p, &mut flm);
+                        }
+                    }
+                    16 => {
+                        ri.on_flush(FlushKind::ReuseVerification, &mut ctx(&mut fl, &mut reset));
+                        model.clear(&mut flm);
+                    }
+                    17 => {
+                        ri.on_register_pressure(&mut ctx(&mut fl, &mut reset));
+                        model.stats.pressure_reclaims += 1;
+                        model.clear(&mut flm);
+                    }
+                    18 => {
+                        let mut w = CkptWriter::new();
+                        ri.ckpt_save(&mut w);
+                        let bytes = w.finish();
+                        // Dirty a fresh engine against a throwaway free
+                        // list, then load the saved state over it.
+                        let mut spare = fl.clone();
+                        let mut dirty = RegisterIntegration::new(cfg);
+                        for _ in 0..3 {
+                            let ev = random_event(rng, &live, &mut [&mut spare]);
+                            dirty.on_mispredict_squash(&ev, &mut ctx(&mut spare, &mut reset));
+                        }
+                        let mut r = CkptReader::new(&bytes);
+                        dirty.ckpt_load(&mut r).expect("round trip");
+                        r.done().expect("fully consumed");
+                        let mut again = CkptWriter::new();
+                        dirty.ckpt_save(&mut again);
+                        assert!(again.finish() == bytes, "step {step}: re-save moved bytes");
+                        ri = dirty;
+                    }
+                    _ => {}
+                }
+                let at = format!("step {step} ({sets}x{ways})");
+                for i in 0..REGS {
+                    let p = PhysReg::new(i);
+                    assert_eq!(fl.holds(p), flm.holds(p), "{at}: holds of {p}");
+                }
+                assert_eq!(alloc_order(&fl), alloc_order(&flm), "{at}: allocation order");
+                assert_eq!(ri.occupancy(), model.occupancy(), "{at}: occupancy");
+                assert_eq!(ri.reserved_hold_count(), model.occupancy() as u64, "{at}: holds");
+                assert_eq!(ri.stats(), model.stats(), "{at}: stats");
+            }
+        });
     }
 
     #[test]

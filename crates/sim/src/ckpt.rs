@@ -276,11 +276,22 @@ impl CkptWriter {
 pub struct CkptReader<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// Physical-register indices at or above this are corrupt.
+    num_pregs: usize,
 }
 
 impl<'a> CkptReader<'a> {
+    /// A reader that accepts any encodable physical-register index.
     pub fn new(payload: &'a [u8]) -> CkptReader<'a> {
-        CkptReader { buf: payload, pos: 0 }
+        CkptReader { buf: payload, pos: 0, num_pregs: 1 << 16 }
+    }
+
+    /// Bounds [`CkptReader::preg`] to a register file of `n` registers,
+    /// so an out-of-range index is a named error at load time instead of
+    /// a panic in whichever structure first indexes with it.
+    pub fn with_num_pregs(mut self, n: usize) -> CkptReader<'a> {
+        self.num_pregs = n;
+        self
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], CkptError> {
@@ -361,7 +372,14 @@ impl<'a> CkptReader<'a> {
     }
 
     pub fn preg(&mut self) -> Result<PhysReg, CkptError> {
-        Ok(PhysReg::new(self.u16()? as usize))
+        let i = self.u16()? as usize;
+        if i >= self.num_pregs {
+            return Err(CkptError::Corrupt(format!(
+                "physical register p{i} out of range ({} configured)",
+                self.num_pregs
+            )));
+        }
+        Ok(PhysReg::new(i))
     }
 
     pub fn opt_preg(&mut self) -> Result<Option<PhysReg>, CkptError> {
@@ -930,7 +948,8 @@ pub(crate) mod machine {
         bytes: &[u8],
     ) -> Result<(), CkptError> {
         let payload = super::open(bytes)?;
-        let mut r = CkptReader::new(payload);
+        let num_pregs = st.free_list.num_regs();
+        let mut r = CkptReader::new(payload).with_num_pregs(num_pregs);
         if r.u64()? != config_hash(&st.cfg) {
             return Err(CkptError::ConfigMismatch);
         }
@@ -954,7 +973,7 @@ pub(crate) mod machine {
         load_memory(st, &mut r)?;
 
         let blob = r.bytes()?;
-        let mut er = CkptReader::new(blob);
+        let mut er = CkptReader::new(blob).with_num_pregs(num_pregs);
         engine.ckpt_load(&mut er)?;
         er.done()?;
 

@@ -135,6 +135,19 @@ impl EngineStats {
         Ok(s)
     }
 
+    /// The named counter `key` in [`EngineStats::extra`], appended at
+    /// zero on first use (so keys keep first-use order).
+    pub fn extra_mut(&mut self, key: &str) -> &mut u64 {
+        let i = match self.extra.iter().position(|(k, _)| k == key) {
+            Some(i) => i,
+            None => {
+                self.extra.push((key.to_string(), 0));
+                self.extra.len() - 1
+            }
+        };
+        &mut self.extra[i].1
+    }
+
     /// Records a reconvergence stream distance into the histogram.
     pub fn record_distance(&mut self, distance: u64) {
         let idx = (distance.max(1) - 1).min(self.stream_distance.len() as u64 - 1) as usize;

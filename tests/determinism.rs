@@ -298,6 +298,46 @@ const PIN_BASE: u64 = 0x6127_c1ac_f602_313a;
 const PIN_MSSR: u64 = 0x8660_d49a_5db2_c00b;
 const PIN_RI: u64 = 0xb096_a668_1f3b_28fa;
 
+/// Table 1's six Register Integration cells at test scale, pinned to
+/// their recorded counters. The report gate tolerates small IPC moves
+/// and the other determinism tests only compare runs with each other, so
+/// without this a change to RI's table logic could shift its results
+/// unnoticed.
+#[test]
+fn table1_ri_cells_keep_their_counters() {
+    use mssr::core::{RegisterIntegration, RiConfig};
+    use mssr_bench::experiment_sim_config;
+    // (workload, ways, cycles, reuse_grants, table_replacements,
+    //  ri_transitive_invalidations, ri_occupancy)
+    const PINS: [(&str, usize, u64, u64, u64, u64, u64); 6] = [
+        ("nested", 1, 20533, 3306, 1157, 6247, 3),
+        ("nested", 2, 19560, 6007, 390, 3004, 4),
+        ("nested", 4, 19447, 7686, 11, 1381, 4),
+        ("linear", 1, 19017, 3442, 735, 4283, 1),
+        ("linear", 2, 18385, 5628, 148, 1853, 1),
+        ("linear", 4, 18385, 6697, 0, 726, 3),
+    ];
+    for (kind, ways, cycles, grants, replacements, transitive, occupancy) in PINS {
+        let w = match kind {
+            "nested" => microbench::nested_mispred(500),
+            _ => microbench::linear_mispred(500),
+        };
+        let engine = RegisterIntegration::new(RiConfig::default().with_sets(64).with_ways(ways));
+        let mut sim = w.instantiate_with(experiment_sim_config(), Box::new(engine));
+        let s = w.finish(&mut sim);
+        let extra = |k: &str| s.engine.extra.iter().find(|(key, _)| key == k).map(|e| e.1);
+        let got = (
+            s.cycles,
+            s.engine.reuse_grants,
+            s.engine.table_replacements,
+            extra("ri_transitive_invalidations"),
+            extra("ri_occupancy"),
+        );
+        let want = (cycles, grants, replacements, Some(transitive), Some(occupancy));
+        assert_eq!(got, want, "{kind}-mispred/500 RI_64x{ways}: counters moved");
+    }
+}
+
 /// Snapshot bytes of a medium-scale GAP kernel are pinned the same way,
 /// with a larger memory footprint than the microbenchmark's and a
 /// fast-forward prefix, and restore over a simulator that ran further.

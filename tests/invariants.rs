@@ -350,3 +350,137 @@ fn predictor_checkpoints_round_trip_and_refuse_cross_kind_restores() {
         }
     }
 }
+
+/// Checkpoint-envelope framing: magic (8) + version (4) + length (8)
+/// before the payload, an FNV-1a checksum (8) after it.
+const ENVELOPE_HEADER: usize = 20;
+const ENVELOPE_CHECKSUM: usize = 8;
+
+/// Takes a `nested_mispred(200)` snapshot under `engine` at the first
+/// 25-commit boundary from 500 on where `locate` finds a destination
+/// register in the engine's blob, overwrites that register with
+/// `p60000`, and re-seals the envelope. `guard` is the engine's
+/// configuration-guard hash, the first word of its blob. `locate` walks
+/// the blob (guard excluded) and returns the offset of a
+/// destination-register field within it.
+fn snapshot_with_bad_engine_preg(
+    engine: fn() -> Box<dyn ReuseEngine>,
+    guard: u64,
+    locate: fn(&[u8]) -> Option<usize>,
+) -> (mssr::workloads::Workload, Vec<u8>) {
+    let w = microbench::nested_mispred(200);
+    let mut sim = w.instantiate_with(cfg(), engine());
+    for k in (500..5_000).step_by(25) {
+        sim.run_until_insts(k);
+        assert!(!sim.is_halted(), "the checkpoint must be taken mid-run");
+        let bytes = sim.snapshot();
+        let mut payload = bytes[ENVELOPE_HEADER..bytes.len() - ENVELOPE_CHECKSUM].to_vec();
+        let needle = guard.to_le_bytes();
+        let start = payload
+            .windows(8)
+            .position(|win| win == needle)
+            .expect("engine blob located by its configuration guard")
+            + 8;
+        if let Some(off) = locate(&payload[start..]) {
+            let at = start + off;
+            payload[at..at + 2].copy_from_slice(&60000u16.to_le_bytes());
+            return (w, mssr::sim::seal(&payload));
+        }
+    }
+    panic!("no engine entry with a destination register in any snapshot");
+}
+
+/// A tiny cursor over checkpoint bytes for the blob walkers below.
+struct Walk<'a>(&'a [u8], usize);
+
+impl Walk<'_> {
+    fn skip(&mut self, n: usize) {
+        self.1 += n;
+    }
+    fn u8(&mut self) -> u8 {
+        self.1 += 1;
+        self.0[self.1 - 1]
+    }
+    fn u64(&mut self) -> u64 {
+        self.1 += 8;
+        u64::from_le_bytes(self.0[self.1 - 8..self.1].try_into().unwrap())
+    }
+    /// Skips an optional field of `n` bytes behind its presence flag.
+    fn opt(&mut self, n: usize) {
+        if self.u8() == 1 {
+            self.skip(n);
+        }
+    }
+}
+
+/// A checkpoint whose Register Integration table names a register past
+/// the register file is refused at restore with a named error. It used
+/// to restore cleanly and then panic in `FreeList::release`.
+#[test]
+fn out_of_range_ri_register_in_checkpoint_is_rejected() {
+    use mssr::core::RegisterIntegration;
+    use mssr::sim::{fnv1a64, CkptError};
+    let guard = fnv1a64(format!("{:?}", RiConfig::default()).as_bytes());
+    // Slot layout: valid flag, then pc, op, dst arch, dst preg, ...
+    let first_entry_dst = |blob: &[u8]| {
+        let mut r = Walk(blob, 0);
+        for _ in 0..RiConfig::default().sets * RiConfig::default().ways {
+            if r.u8() == 1 {
+                return Some(r.1 + 10);
+            }
+        }
+        None
+    };
+    let (w, bad) = snapshot_with_bad_engine_preg(
+        || Box::new(RegisterIntegration::new(RiConfig::default())),
+        guard,
+        first_entry_dst,
+    );
+    let mut sim =
+        w.instantiate_with(cfg(), Box::new(RegisterIntegration::new(RiConfig::default())));
+    let err = sim.restore(&bad).expect_err("an out-of-range register must not restore");
+    assert!(
+        matches!(&err, CkptError::Corrupt(m) if m.contains("p60000")),
+        "got: {err}, want a corrupt-payload error naming p60000"
+    );
+}
+
+/// The same for a Squash Log entry of the MSSR engine.
+#[test]
+fn out_of_range_mssr_register_in_checkpoint_is_rejected() {
+    use mssr::sim::{fnv1a64, CkptError};
+    let guard = fnv1a64(format!("{:?}", MssrConfig::default()).as_bytes());
+    let first_log_dst = |blob: &[u8]| {
+        let mut r = Walk(blob, 0);
+        let streams = r.u64();
+        for _ in 0..streams {
+            r.skip(1 + 8 + 8); // valid, squash id, cause seq
+            let blocks = r.u64() as usize;
+            r.skip(blocks * 16 + 8); // block ranges, vpn
+            for _ in 0..r.u64() {
+                r.skip(8 + 1); // pc, op
+                if r.u8() == 1 {
+                    return Some(r.1 + 1); // behind the dst arch byte
+                }
+                r.opt(2); // src rgids
+                r.opt(2);
+                r.skip(2); // executed, is_load
+                r.opt(8); // load address
+                r.skip(2); // preg_held, consumed
+            }
+            r.skip(8); // created_at
+        }
+        None
+    };
+    let (w, bad) = snapshot_with_bad_engine_preg(
+        || Box::new(MultiStreamReuse::new(MssrConfig::default())),
+        guard,
+        first_log_dst,
+    );
+    let mut sim = w.instantiate_with(cfg(), Box::new(MultiStreamReuse::new(MssrConfig::default())));
+    let err = sim.restore(&bad).expect_err("an out-of-range register must not restore");
+    assert!(
+        matches!(&err, CkptError::Corrupt(m) if m.contains("p60000")),
+        "got: {err}, want a corrupt-payload error naming p60000"
+    );
+}
