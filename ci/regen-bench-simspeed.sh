@@ -18,7 +18,7 @@ cd "$(dirname "$0")/.."
 
 cargo build --release --offline -p mssr-bench >/dev/null
 
-./target/release/table1 --scale test --json --timing --profile \
+./target/release/table1 --scale test --json --profile \
     > /tmp/simspeed-traj.json 2> /tmp/simspeed-prof.jsonl
 
 ./target/release/mssr-simspeed emit \

@@ -27,7 +27,7 @@ server options:
   --scale S          cell universe scale: test|medium|large (default: MSSR_SCALE, then medium)
   --seed S           root seed for default per-cell seeds (default 0x4d535352)
   --experiments A,B  experiment list forming the cell universe (default: all)
-  --ckpt-dir DIR     on-disk checkpoints for unsampled requests
+  --ckpt-dir DIR     reuse/save per-cell checkpoints in DIR
   --bpred NAME       branch predictor for every cell:
                      tage|tagescl|ittage|alwayswrong|oracle (default: per-cell config)
   --cache-cap N      result-cache entries before FIFO eviction (default 4096)

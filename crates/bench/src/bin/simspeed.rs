@@ -8,8 +8,8 @@ use mssr_bench::harness::simspeed::{check, measure, parse, render};
 const USAGE: &str = "usage: mssr-simspeed emit TRAJECTORY PROFILE [--experiment NAME]
        mssr-simspeed check CURRENT BASELINE [--min-ratio PCT]
 
-  emit        aggregate a harness --json --timing trajectory plus its
-              --profile stderr stream into the BENCH_simspeed.json body
+  emit        aggregate a harness --json --profile trajectory plus its
+              profile stderr stream into the BENCH_simspeed.json body
               (per-engine min/median/max sim MIPS and stage shares) on
               stdout
   check       compare two emitted bodies; prints one greppable

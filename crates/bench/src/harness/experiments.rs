@@ -616,11 +616,11 @@ impl Experiment for Rollup {
             }
         }
         let mut out = render_csv(&["CFG", "BM", "CYCLES", "diff"], &rows);
-        // `--timing` runs append a host-throughput aggregate: per
+        // `--profile` runs append a host-throughput aggregate: per
         // configuration, min/median/max simulated MIPS (thousandths)
-        // over the suite. Untimed runs leave the CSV bytes unchanged —
+        // over the suite. Unprofiled runs leave the CSV bytes unchanged —
         // the determinism gates compare plain rollup output.
-        if results.iter().any(|r| r.stats.engine.sim_mips_milli > 0) {
+        if results.iter().any(|r| r.profile.is_some()) {
             let mut labels: Vec<String> = Vec::new();
             for &id in ids {
                 let l = pool.cell_spec(id).engine.label();
@@ -634,7 +634,7 @@ impl Experiment for Rollup {
                     let mut mips: Vec<u64> = ids
                         .iter()
                         .filter(|&&id| pool.cell_spec(id).engine.label() == *l)
-                        .map(|&id| results[id].stats.engine.sim_mips_milli)
+                        .filter_map(|&id| results[id].sim_mips_milli())
                         .collect();
                     mips.sort_unstable();
                     vec![

@@ -1,19 +1,21 @@
 //! The parallel experiment grid: cell pool, deduplication, workload
 //! caching, and the work-stealing scoped-thread runner.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::Path;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
-
-use std::path::Path;
+use std::time::Instant;
 
 use mssr_core::{
     MemCheckPolicy, MssrConfig, MultiStreamReuse, RegisterIntegration, RiConfig, RiCounters,
 };
 use mssr_sim::{
-    fnv1a64, BbvCollector, BpredKind, BufferSink, CkptError, CycleAccount, ProfReport, ReuseEngine,
-    SimConfig, SimStats, Simulator, TraceEvent, TraceKind, TraceSink, PROF_DEFAULT_STRIDE,
+    fnv1a64, BbvCollector, BpredKind, CkptError, CycleAccount, ProfReport, ReuseEngine, SimConfig,
+    SimStats, Simulator, TraceEvent, TraceKind, TraceSink, PROF_DEFAULT_STRIDE,
 };
 use mssr_workloads::{Scale, Workload};
 
@@ -178,10 +180,20 @@ pub struct CellResult {
     /// field-wise sum over representatives, not a whole-program run;
     /// `mssr-report` reconstructs whole-program CPI from this record.
     pub simpoint: Option<SimpointCellResult>,
-    /// The cell's host wall-clock profile (`--profile` runs only). Like
-    /// `--timing`, this is machine-dependent — which is why the harness
-    /// emits it on stderr, never into the trajectory.
+    /// The cell's host wall-clock profile (`--profile` runs only). It is
+    /// machine-dependent, which is why the harness emits it on stderr,
+    /// never into the trajectory.
     pub profile: Option<CellProfile>,
+}
+
+impl CellResult {
+    /// Host throughput in thousandths of simulated MIPS, from the
+    /// `--profile` wall time (the figure `ProfileRecord::sim_mips_milli`
+    /// reads back from the profile record); `None` unprofiled.
+    pub(crate) fn sim_mips_milli(&self) -> Option<u64> {
+        let p = self.profile.as_ref()?;
+        Some(self.stats.committed_instructions.saturating_mul(1000) / p.total_us.max(1))
+    }
 }
 
 /// One cell's self-profile: the simulator's per-bucket wall-clock
@@ -284,23 +296,27 @@ impl CkptMem {
 /// to the requesting client while the cell is still running.
 pub(crate) type LiveSink = Box<dyn FnMut(&str) + Send>;
 
-/// The buffer sink of the grid runner: collects raw event lines exactly
-/// like [`BufferSink`] (same bytes, same order) and additionally feeds
-/// each line to an optional live observer.
-struct CallbackSink {
-    buf: Arc<Mutex<String>>,
+/// A cell's event stream: the raw lines of every region in order, plus
+/// the optional live observer.
+struct CellTrace {
+    buf: String,
     live: Option<LiveSink>,
 }
+
+/// The trace sink of one region: appends raw event lines to the cell's
+/// [`CellTrace`] exactly like [`mssr_sim::BufferSink`] (same bytes, same
+/// order) and feeds each line to the live observer.
+struct CallbackSink(Rc<RefCell<CellTrace>>);
 
 impl TraceSink for CallbackSink {
     fn record(&mut self, ev: &TraceEvent) {
         let line = ev.to_json();
-        if let Some(f) = &mut self.live {
+        let t = &mut *self.0.borrow_mut();
+        if let Some(f) = &mut t.live {
             f(&line);
         }
-        let mut b = self.buf.lock().unwrap_or_else(PoisonError::into_inner);
-        b.push_str(&line);
-        b.push('\n');
+        t.buf.push_str(&line);
+        t.buf.push('\n');
     }
 }
 
@@ -312,14 +328,13 @@ pub(crate) struct CellRun<'a> {
     pub trace: bool,
     /// Interval-sampling period in cycles (`0` = off).
     pub sample: u64,
-    /// Functional fast-forward depth in instructions.
+    /// Functional fast-forward depth in instructions (plain cells; a
+    /// SimPoint cell places its own per representative).
     pub ffwd: u64,
-    /// On-disk checkpoint directory (already `None` under trace/sample).
+    /// On-disk checkpoint directory.
     pub ckpt_dir: Option<&'a Path>,
     /// Periodic checkpoint-save period (`0` = off).
     pub ckpt_every: u64,
-    /// Record wall-clock simulated MIPS into the stats.
-    pub timing: bool,
     /// Arm the simulator's per-stage self-profiler and return a
     /// [`CellProfile`] with the result (out-of-band; simulated output is
     /// byte-identical either way).
@@ -329,21 +344,42 @@ pub(crate) struct CellRun<'a> {
 }
 
 impl<'a> CellRun<'a> {
-    /// The batch harness's execution parameters: disk checkpoints only,
-    /// disabled under `--trace`/`--sample` (a restored mid-run
-    /// checkpoint would emit only the tail of its event stream).
+    /// The batch harness's execution parameters.
     pub(crate) fn from_opts(opts: &'a HarnessOpts) -> CellRun<'a> {
-        let ckpt_dir = if opts.trace || opts.sample > 0 { None } else { opts.ckpt_dir.as_deref() };
         CellRun {
             trace: opts.trace,
             sample: opts.sample,
             ffwd: opts.ffwd,
-            ckpt_dir,
+            ckpt_dir: opts.ckpt_dir.as_deref(),
             ckpt_every: opts.ckpt_every,
-            timing: opts.timing,
             profile: opts.profile,
             ckpt_mem: None,
         }
+    }
+}
+
+/// One detailed region of a cell. A plain or served cell is a single
+/// region that runs to halt; a SimPoint cell runs one region per
+/// representative interval.
+struct Region {
+    /// Functional fast-forward to the region's detailed start.
+    ffwd: u64,
+    /// `None`: run to halt. `Some((warm, insts))`: run `warm` detailed
+    /// warmup instructions, whose counters are subtracted out, then
+    /// measure `insts`.
+    measure: Option<(u64, u64)>,
+}
+
+impl Region {
+    /// The checkpoint rule. A mid-run `--ckpt-every` checkpoint is
+    /// written and restored only by a region that runs to halt with no
+    /// event stream: restoring one into a streamed run would emit only
+    /// the tail of its events, and into a measured region would start
+    /// it past its first instruction. Every other region restores only
+    /// its `{stem}.0.ckpt` fast-forward boundary snapshot, which has no
+    /// detailed cycles behind it.
+    fn resumes_mid_run(&self, streamed: bool) -> bool {
+        self.measure.is_none() && !streamed
     }
 }
 
@@ -452,18 +488,11 @@ impl CellPool {
     /// Runs every cell across `opts.jobs` workers; `results[i]` is cell
     /// `i`'s result regardless of which worker ran it or when.
     pub fn run(&self, opts: &HarnessOpts) -> Vec<CellResult> {
-        if opts.ckpt_dir.is_some() && (opts.trace || opts.sample > 0) {
-            warn(
-                "--ckpt-dir is ignored under --trace/--sample (a restored run would emit only the tail of its event stream)",
-            );
-        }
         let plans = opts.simpoint.map(|_| self.simpoint_plans(opts));
+        let rp = CellRun::from_opts(opts);
         run_cells(self.cells.len(), opts.jobs, |i| {
-            let seed = cell_seed(opts.root_seed, i as u64);
-            match plans.as_ref().and_then(|p| p[self.cells[i].workload].as_ref()) {
-                Some(plan) => self.run_cell_simpoint(i, seed, opts, plan),
-                None => self.run_cell(i, seed, opts),
-            }
+            let plan = plans.as_ref().and_then(|p| p[self.cells[i].workload].as_ref());
+            self.run_cell_with(i, cell_seed(opts.root_seed, i as u64), &rp, plan, None)
         })
     }
 
@@ -517,8 +546,8 @@ impl CellPool {
     }
 
     /// A freshly instantiated simulator for cell `spec`, armed for
-    /// profiling and sampling but with no trace sink yet.
-    fn fresh_sim(&self, spec: &CellSpec, profile: bool, sample: u64) -> CellSim {
+    /// profiling but with no sampler or trace sink yet.
+    fn fresh_sim(&self, spec: &CellSpec, profile: bool) -> CellSim {
         let ri = spec.engine.build_ri();
         let ri_counters = ri.as_ref().map(RegisterIntegration::replacement_counters);
         let engine = match ri {
@@ -533,249 +562,180 @@ impl CellPool {
         if profile {
             sim.set_profiling(PROF_DEFAULT_STRIDE);
         }
-        if sample > 0 {
-            sim.set_sample_interval(sample);
-        }
         CellSim { sim, ri_counters }
     }
 
-    fn run_cell(&self, i: CellId, seed: u64, opts: &HarnessOpts) -> CellResult {
-        self.run_cell_with(i, seed, &CellRun::from_opts(opts), None)
-    }
-
-    /// Runs one cell under explicit execution parameters, optionally
-    /// feeding each raw trace line to `live` as it is emitted. This is
-    /// the shared execution path of the batch harness and `mssr-serve`,
-    /// which is what keeps served results byte-identical to batch
-    /// trajectories.
+    /// Runs one cell under explicit execution parameters: the whole
+    /// program, or under `plan` each SimPoint representative, as
+    /// detailed regions started by [`CellPool::start_region`].
+    /// Optionally feeds each raw trace line to `live` as it is emitted.
+    /// This is the one execution path of the batch harness, SimPoint
+    /// sampling and `mssr-serve`, which is what keeps served results
+    /// byte-identical to batch trajectories.
+    ///
+    /// A SimPoint cell's `stats` are the field-wise sum over
+    /// representatives; reconstruction to whole-program CPI happens in
+    /// `mssr-report` using the plan's weights.
     pub(crate) fn run_cell_with(
         &self,
         i: CellId,
         seed: u64,
         rp: &CellRun<'_>,
+        plan: Option<&SimpointPlan>,
         live: Option<LiveSink>,
     ) -> CellResult {
         let spec = &self.cells[i];
         let w = &self.workloads[spec.workload];
-        let trace = rp.trace;
-        let sample = rp.sample;
-        // When tracing or sampling, events go into a per-cell buffer whose
-        // handle we keep; the simulator consumes the sink itself. Without
-        // `--trace` the sink's kind mask admits sample events only.
-        let (sink, buf) = if trace || sample > 0 {
-            let buf = Arc::new(Mutex::new(String::new()));
-            (Some(CallbackSink { buf: Arc::clone(&buf), live }), Some(buf))
-        } else {
-            (None, None)
-        };
-        let mut ckpt_skips: Vec<String> = Vec::new();
-        let started = (rp.timing || rp.profile).then(std::time::Instant::now);
-        let fresh = || self.fresh_sim(spec, rp.profile, sample);
-        let mut cell = fresh();
-        let mask = if !trace && sample > 0 { TraceKind::Sample.bit() } else { !0 };
-        let stem = self.ckpt_stem(spec, seed, rp.ffwd);
-        // Every restore runs *before* the sink attaches. The donor of a
-        // shared-memory snapshot may have checkpointed under a different
-        // trace configuration, and nothing it replays (including the
-        // restore event itself) belongs in this run's stream. A cold
-        // run's stream starts with the fast-forward event, which
-        // `rearm_tracing` re-emits below once the sink is live. Disk
-        // checkpoints are only used without a sink (see `CellRun`).
-        let mut boundary = false;
-        if let Some(bytes) = rp.ckpt_mem.and_then(|mem| mem.get(&stem)) {
-            match cell.restore_or_renew(&bytes, &fresh) {
-                Ok(()) => boundary = true,
-                Err(e) => ckpt_skips.push(format!("<memory snapshot>: {e}")),
-            }
-        }
-        let mut restored = boundary;
-        if let Some(dir) = rp.ckpt_dir.filter(|_| !restored) {
-            let (ok, disk_skips) = restore_newest_ckpt(&mut cell, dir, &stem, &fresh);
-            ckpt_skips.extend(disk_skips);
-            restored = ok;
-        }
-        let sim = &mut cell.sim;
-        if let Some(s) = sink {
-            sim.set_trace_sink(Box::new(s));
-            if !trace {
-                sim.set_trace_mask(mask);
-            }
-        }
-        if boundary {
-            // A checkpoint restores its saver's sampler interval, trace
-            // mask, and event counters; re-assert this run's. The
-            // snapshot is a fast-forward boundary — zero detailed cycles
-            // behind it — so a fresh sampler plus the re-armed tracer is
-            // exactly the state a cold run of this configuration has here.
-            sim.set_sample_interval(sample);
-            sim.rearm_tracing(mask);
-        }
-        if !restored && rp.ffwd > 0 {
-            sim.fast_forward(rp.ffwd);
-            // The boundary state is the shareable artifact: every later
-            // request for this cell identity (any sampling mode) can
-            // start detailed simulation from it.
-            if let Some(mem) = rp.ckpt_mem {
-                mem.put(&stem, sim.snapshot());
-            }
-        }
-        if let Some(dir) = rp.ckpt_dir.filter(|_| rp.ckpt_every > 0) {
-            save_periodic_ckpts(sim, dir, &stem, rp.ckpt_every);
-        }
-        let mut stats = w.finish(sim);
-        let prof = sim.profile_report();
-        // fig3's per-set replacement-frequency data.
-        let ri_set_replacements = cell.ri_counters.map(|c| c.borrow().clone());
-        let total_us = started.map(|t0| (t0.elapsed().as_micros().max(1) as u64).max(1));
-        if rp.timing {
-            // MIPS = insts / µs; thousandths keep the trajectory integer.
-            let us = total_us.expect("timed above");
-            stats.engine.sim_mips_milli =
-                (stats.committed_instructions.saturating_mul(1000) / us).max(1);
-        }
-        let profile = rp
-            .profile
-            .then(|| CellProfile { total_us: total_us.expect("timed above"), report: prof });
-        record_ckpt_skips(&mut stats, &ckpt_skips, i, w.name(), &spec.engine.label());
-        let trace = buf.map(|b| std::mem::take(&mut *b.lock().expect("trace buffer poisoned")));
-        CellResult { seed, stats, ri_set_replacements, trace, simpoint: None, profile }
-    }
-
-    /// Runs one cell in SimPoint mode: for each representative interval
-    /// of the workload's plan, fast-forward (or restore a checkpoint) to
-    /// the interval start, simulate the interval in detail, and record
-    /// its cycles and CPI account. The cell's `stats` become the
-    /// field-wise sum over representatives; reconstruction to
-    /// whole-program CPI happens in `mssr-report` using the weights.
-    fn run_cell_simpoint(
-        &self,
-        i: CellId,
-        seed: u64,
-        opts: &HarnessOpts,
-        plan: &SimpointPlan,
-    ) -> CellResult {
-        let spec = &self.cells[i];
-        let w = &self.workloads[spec.workload];
-        let trace = opts.trace;
-        let sample = opts.sample;
-        // Same rule as the plain path: checkpoint traffic is disabled
-        // under --trace/--sample (a restored run would emit only the tail
-        // of its event stream).
-        let ckpt_dir = if trace || sample > 0 { None } else { opts.ckpt_dir.as_deref() };
-        let started = (opts.timing || opts.profile).then(std::time::Instant::now);
-        let mut stats = SimStats::default();
-        let mut ri_set_replacements: Option<Vec<u64>> = None;
-        let mut trace_out = String::new();
-        let mut ckpt_skips: Vec<String> = Vec::new();
-        let mut prof = ProfReport::default();
-        let mut reps = Vec::with_capacity(plan.reps.len());
-        for rep in &plan.reps {
-            let (sink, buf) = if trace || sample > 0 {
-                let sink = BufferSink::new();
-                let handle = sink.handle();
-                (Some(sink), Some(handle))
-            } else {
-                (None, None)
-            };
+        let started = rp.profile.then(Instant::now);
+        let trace = (rp.trace || rp.sample > 0)
+            .then(|| Rc::new(RefCell::new(CellTrace { buf: String::new(), live })));
+        let regions: Vec<Region> = match plan {
+            None => vec![Region { ffwd: rp.ffwd, measure: None }],
             // Detailed warmup: back the fast-forward off by a quarter
             // interval (bounded by the program start) so the measured
-            // region runs on a filled pipeline; its counters are
-            // subtracted out below.
-            let warm = (plan.interval / SIMPOINT_WARMUP_DIV).min(rep.start_inst);
-            let ffwd = rep.start_inst - warm;
-            // One checkpoint per representative: the stem hashes the
-            // detailed-run start as its fast-forward depth, the same
-            // stems the `--ffwd` path restores from.
-            let stem = self.ckpt_stem(spec, seed, ffwd);
-            let fresh = || self.fresh_sim(spec, opts.profile, sample);
-            let mut cell = fresh();
-            // Restores precede the sink; `ckpt_dir` is `None` whenever
-            // there is one.
-            let restored = match ckpt_dir {
-                Some(dir) => {
-                    let (ok, skips) = restore_newest_ckpt(&mut cell, dir, &stem, &fresh);
-                    ckpt_skips.extend(skips);
-                    ok
+            // region runs on a filled pipeline.
+            Some(p) => p
+                .reps
+                .iter()
+                .map(|rep| {
+                    let warm = (p.interval / SIMPOINT_WARMUP_DIV).min(rep.start_inst);
+                    Region { ffwd: rep.start_inst - warm, measure: Some((warm, rep.insts)) }
+                })
+                .collect(),
+        };
+        let mut skips: Vec<String> = Vec::new();
+        let mut prof = ProfReport::default();
+        let mut ri_set_replacements: Option<Vec<u64>> = None;
+        let mut measured = Vec::with_capacity(regions.len());
+        for region in &regions {
+            let (mut cell, stem) = self.start_region(spec, seed, rp, region, &trace, &mut skips);
+            let sim = &mut cell.sim;
+            measured.push(match region.measure {
+                None => {
+                    let periodic = rp.ckpt_every > 0 && region.resumes_mid_run(trace.is_some());
+                    if let Some(dir) = rp.ckpt_dir.filter(|_| periodic) {
+                        save_periodic_ckpts(sim, dir, &stem, rp.ckpt_every);
+                    }
+                    (w.finish(sim), 0)
                 }
-                None => false,
-            };
-            let CellSim { mut sim, ri_counters: counters } = cell;
-            if let Some(s) = sink {
-                sim.set_trace_sink(Box::new(s));
-                if !trace {
-                    sim.set_trace_mask(TraceKind::Sample.bit());
-                }
-            }
-            if !restored {
-                if ffwd > 0 {
-                    sim.fast_forward(ffwd);
-                }
-                if let Some(dir) = ckpt_dir {
-                    save_ckpt_once(&sim, dir, &stem);
-                }
-            }
-            if warm > 0 {
-                sim.run_until_insts(warm);
-            }
-            let warm_stats = sim.stats();
-            sim.run_until_insts(warm_stats.committed_instructions + rep.insts);
-            let mut st = sim.stats();
-            if sim.take_trace_sink().is_some() {
-                st = sim.stats(); // trace_* counters final only after flush
-            }
-            // The measured region is the post-warmup delta; the warmup
-            // and functional fast-forward are reported as skipped work.
-            let mut delta = st.clone();
-            merge_stats(&mut delta, &warm_stats, u64::saturating_sub);
-            delta.ffwd_insts = st.ffwd_insts + warm_stats.committed_instructions;
-            delta.skipped_cycles = st.skipped_cycles + warm_stats.cycles;
-            if let Some(c) = counters {
+                Some((warm, insts)) => measure_region(sim, warm, insts),
+            });
+            prof.merge(&sim.profile_report());
+            // fig3's per-set replacement-frequency data.
+            if let Some(c) = cell.ri_counters {
                 let snap = c.borrow();
                 match &mut ri_set_replacements {
-                    Some(acc) => {
-                        for (a, b) in acc.iter_mut().zip(snap.iter()) {
-                            *a += b;
-                        }
-                    }
+                    Some(acc) => acc.iter_mut().zip(snap.iter()).for_each(|(a, b)| *a += b),
                     None => ri_set_replacements = Some(snap.clone()),
                 }
             }
-            if let Some(b) = buf {
-                trace_out.push_str(&std::mem::take(&mut *b.lock().expect("trace buffer poisoned")));
+        }
+        let (mut stats, simpoint) = match plan {
+            None => (measured.swap_remove(0).0, None),
+            Some(p) => {
+                let mut sum = SimStats::default();
+                let reps = p
+                    .reps
+                    .iter()
+                    .zip(&measured)
+                    .map(|(rep, (delta, warmup_insts))| {
+                        merge_stats(&mut sum, delta, u64::wrapping_add);
+                        SimpointRep {
+                            index: rep.index,
+                            start_inst: rep.start_inst,
+                            planned_insts: rep.insts,
+                            weight_insts: rep.weight_insts,
+                            spread_milli: rep.spread_milli,
+                            warmup_insts: *warmup_insts,
+                            cycles: delta.cycles,
+                            insts: delta.committed_instructions,
+                            account: delta.account,
+                        }
+                    })
+                    .collect();
+                let sp = SimpointCellResult {
+                    interval: p.interval,
+                    total_insts: p.total_insts,
+                    n_intervals: p.n_intervals,
+                    k: p.k,
+                    reps,
+                };
+                (sum, Some(sp))
             }
-            reps.push(SimpointRep {
-                index: rep.index,
-                start_inst: rep.start_inst,
-                planned_insts: rep.insts,
-                weight_insts: rep.weight_insts,
-                spread_milli: rep.spread_milli,
-                warmup_insts: warm_stats.committed_instructions,
-                cycles: delta.cycles,
-                insts: delta.committed_instructions,
-                account: delta.account,
-            });
-            merge_stats(&mut stats, &delta, u64::wrapping_add);
-            prof.merge(&sim.profile_report());
-        }
-        let total_us = started.map(|t0| (t0.elapsed().as_micros().max(1) as u64).max(1));
-        if opts.timing {
-            let us = total_us.expect("timed above");
-            stats.engine.sim_mips_milli =
-                (stats.committed_instructions.saturating_mul(1000) / us).max(1);
-        }
-        let profile = opts
-            .profile
-            .then(|| CellProfile { total_us: total_us.expect("timed above"), report: prof });
-        record_ckpt_skips(&mut stats, &ckpt_skips, i, w.name(), &spec.engine.label());
-        let trace = (trace || sample > 0).then_some(trace_out);
-        let simpoint = Some(SimpointCellResult {
-            interval: plan.interval,
-            total_insts: plan.total_insts,
-            n_intervals: plan.n_intervals,
-            k: plan.k,
-            reps,
+        };
+        let profile = started.map(|t0| CellProfile {
+            total_us: (t0.elapsed().as_micros() as u64).max(1),
+            report: prof,
         });
+        record_ckpt_skips(&mut stats, &skips, i, w.name(), &spec.engine.label());
+        let trace = trace.map(|t| std::mem::take(&mut t.borrow_mut().buf));
         CellResult { seed, stats, ri_set_replacements, trace, simpoint, profile }
+    }
+
+    /// Starts one detailed region: a fresh simulator positioned at the
+    /// region's detailed start with this run's sampler and trace sink
+    /// armed, plus the region's checkpoint stem. The start is restored
+    /// from a checkpoint [`Region::resumes_mid_run`] allows, else
+    /// fast-forwarded, and then its boundary snapshot is stored on disk
+    /// and in memory for later regions and runs.
+    fn start_region(
+        &self,
+        spec: &CellSpec,
+        seed: u64,
+        rp: &CellRun<'_>,
+        region: &Region,
+        trace: &Option<Rc<RefCell<CellTrace>>>,
+        skips: &mut Vec<String>,
+    ) -> (CellSim, String) {
+        // The stem hashes the region's fast-forward depth, so a SimPoint
+        // representative and a plain `--ffwd` cell with the same detailed
+        // start share their boundary snapshot.
+        let stem = self.ckpt_stem(spec, seed, region.ffwd);
+        let mid_run = region.resumes_mid_run(trace.is_some());
+        let fresh = || self.fresh_sim(spec, rp.profile);
+        let mut cell = fresh();
+        // Restores and the fast-forward all run before the sink
+        // attaches: a donor may have checkpointed under a different trace
+        // configuration, and nothing it replays belongs in this stream.
+        let mut restored = false;
+        if let Some(bytes) = rp.ckpt_mem.and_then(|mem| mem.get(&stem)) {
+            match cell.restore_or_renew(&bytes, &fresh) {
+                Ok(()) => restored = true,
+                Err(e) => skips.push(format!("<memory snapshot>: {e}")),
+            }
+        }
+        if let Some(dir) = rp.ckpt_dir.filter(|_| !restored) {
+            let (ok, disk_skips) = restore_newest_ckpt(&mut cell, dir, &stem, mid_run, &fresh);
+            skips.extend(disk_skips);
+            restored = ok;
+        }
+        let sim = &mut cell.sim;
+        if !restored && region.ffwd > 0 {
+            sim.fast_forward(region.ffwd);
+            if rp.ckpt_dir.is_some() || rp.ckpt_mem.is_some() {
+                let bytes = sim.snapshot();
+                if let Some(dir) = rp.ckpt_dir {
+                    save_ckpt(dir, &stem, 0, &bytes);
+                }
+                if let Some(mem) = rp.ckpt_mem {
+                    mem.put(&stem, bytes);
+                }
+            }
+        }
+        if let Some(t) = trace {
+            sim.set_trace_sink(Box::new(CallbackSink(Rc::clone(t))));
+        }
+        if sim.cycle() == 0 {
+            // A fast-forward boundary, cold or restored: no detailed
+            // cycle is behind it, so this run's sampler plus a re-armed
+            // tracer (which re-emits the fast-forward event into the new
+            // sink) is exactly a cold run's state here, whatever the
+            // snapshot's donor traced or sampled.
+            let mask = if rp.trace || rp.sample == 0 { !0 } else { TraceKind::Sample.bit() };
+            sim.set_sample_interval(rp.sample);
+            sim.rearm_tracing(mask);
+        }
+        (cell, stem)
     }
 }
 
@@ -804,12 +764,32 @@ impl CellSim {
     }
 }
 
+/// Runs a started SimPoint region: `warm` detailed warmup instructions,
+/// then `insts` measured ones. Returns the measured region's statistics
+/// — the post-warmup delta, with the warmup and the functional
+/// fast-forward reported as skipped work — and the warmup instructions
+/// actually run.
+fn measure_region(sim: &mut Simulator, warm: u64, insts: u64) -> (SimStats, u64) {
+    if warm > 0 {
+        sim.run_until_insts(warm);
+    }
+    let warm_stats = sim.stats();
+    sim.run_until_insts(warm_stats.committed_instructions + insts);
+    let mut st = sim.stats();
+    if sim.take_trace_sink().is_some() {
+        st = sim.stats(); // trace_* counters final only after flush
+    }
+    let mut delta = st.clone();
+    merge_stats(&mut delta, &warm_stats, u64::saturating_sub);
+    delta.ffwd_insts = st.ffwd_insts + warm_stats.committed_instructions;
+    delta.skipped_cycles = st.skipped_cycles + warm_stats.cycles;
+    (delta, warm_stats.committed_instructions)
+}
+
 /// Field-wise merge of two stats records through `f` — `a = f(a, b)`
 /// per counter. With `wrapping_add` it sums representative intervals
 /// into the cell total; with `saturating_sub` it subtracts a warmup
-/// snapshot to isolate the measured region. `sim_mips_milli` is
-/// excluded — wall-clock throughput is recomputed over the whole cell
-/// when `--timing` asks for it.
+/// snapshot to isolate the measured region.
 fn merge_stats(a: &mut SimStats, b: &SimStats, f: fn(u64, u64) -> u64) {
     a.cycles = f(a.cycles, b.cycles);
     a.committed_instructions = f(a.committed_instructions, b.committed_instructions);
@@ -866,18 +846,17 @@ fn merge_stats(a: &mut SimStats, b: &SimStats, f: fn(u64, u64) -> u64) {
         f(a.account.credit_recon_fetches, b.account.credit_recon_fetches);
 }
 
-/// Saves the simulator's current state as `{stem}.{committed}.ckpt` in
-/// `dir` unless that file already exists (tmp+rename, like the periodic
-/// saver, so concurrent cells never see a torn file).
-fn save_ckpt_once(sim: &Simulator, dir: &Path, stem: &str) {
-    let _ = std::fs::create_dir_all(dir);
-    let committed = sim.stats().committed_instructions;
-    let path = dir.join(format!("{stem}.{committed}.ckpt"));
+/// Writes `bytes` as `{stem}.{insts}.ckpt` in `dir` unless that file
+/// already exists, through a temporary name and a rename so concurrent
+/// cells never see a torn file.
+fn save_ckpt(dir: &Path, stem: &str, insts: u64, bytes: &[u8]) {
+    let path = dir.join(format!("{stem}.{insts}.ckpt"));
     if path.exists() {
         return;
     }
-    let tmp = dir.join(format!("{stem}.{committed}.ckpt.tmp"));
-    if std::fs::write(&tmp, sim.snapshot()).is_ok() {
+    let _ = std::fs::create_dir_all(dir);
+    let tmp = dir.join(format!("{stem}.{insts}.ckpt.tmp"));
+    if std::fs::write(&tmp, bytes).is_ok() {
         let _ = std::fs::rename(&tmp, &path);
     }
 }
@@ -900,18 +879,21 @@ fn record_ckpt_skips(stats: &mut SimStats, skips: &[String], i: CellId, w: &str,
 }
 
 /// Restores the newest valid checkpoint for `stem` from `dir` into
-/// `cell`. Invalid or mismatched files (corruption, a different build's
-/// config) are skipped in favour of the next-newest; with none valid the
-/// cell just runs from scratch — checkpoints are an accelerator, never a
-/// correctness dependency. Every failed attempt leaves `cell` freshly
-/// re-instantiated by `fresh` (see [`CellSim::restore_or_renew`]). Each
-/// skipped file is reported back as `"<name>: <reason>"` so the caller
-/// can surface the degradation instead of silently eating the
-/// cold-start cost.
+/// `cell`: any `{stem}.{insts}.ckpt` when `mid_run` (see
+/// [`Region::resumes_mid_run`]), else only the `{stem}.0.ckpt` boundary
+/// snapshot. Invalid or mismatched files (corruption, a different
+/// build's config) are skipped in favour of the next-newest; with none
+/// valid the cell just runs from scratch — checkpoints are an
+/// accelerator, never a correctness dependency. Every failed attempt
+/// leaves `cell` freshly re-instantiated by `fresh` (see
+/// [`CellSim::restore_or_renew`]). Each skipped file is reported back as
+/// `"<name>: <reason>"` so the caller can surface the degradation
+/// instead of silently eating the cold-start cost.
 fn restore_newest_ckpt(
     cell: &mut CellSim,
     dir: &Path,
     stem: &str,
+    mid_run: bool,
     fresh: &dyn Fn() -> CellSim,
 ) -> (bool, Vec<String>) {
     let mut skips = Vec::new();
@@ -922,7 +904,7 @@ fn restore_newest_ckpt(
             let name = path.file_name()?.to_str()?;
             let rest = name.strip_prefix(stem)?.strip_prefix('.')?;
             let insts: u64 = rest.strip_suffix(".ckpt")?.parse().ok()?;
-            Some((insts, path))
+            (mid_run || insts == 0).then_some((insts, path))
         })
         .collect();
     found.sort_unstable_by_key(|&(insts, _)| std::cmp::Reverse(insts));
@@ -944,10 +926,8 @@ fn restore_newest_ckpt(
 }
 
 /// Runs `sim` to completion, saving a checkpoint into `dir` every
-/// `every` committed instructions. Files are written to a temporary name
-/// and renamed into place so concurrent readers never see a torn file.
+/// `every` committed instructions.
 fn save_periodic_ckpts(sim: &mut Simulator, dir: &Path, stem: &str, every: u64) {
-    let _ = std::fs::create_dir_all(dir);
     loop {
         let committed = sim.stats().committed_instructions;
         sim.run_until_insts(committed + every);
@@ -957,13 +937,7 @@ fn save_periodic_ckpts(sim: &mut Simulator, dir: &Path, stem: &str, every: u64) 
             // the run's result, not a resume point worth saving.
             return;
         }
-        let path = dir.join(format!("{stem}.{now}.ckpt"));
-        if !path.exists() {
-            let tmp = dir.join(format!("{stem}.{now}.ckpt.tmp"));
-            if std::fs::write(&tmp, sim.snapshot()).is_ok() {
-                let _ = std::fs::rename(&tmp, &path);
-            }
-        }
+        save_ckpt(dir, stem, now, &sim.snapshot());
     }
 }
 
@@ -1079,7 +1053,7 @@ mod tests {
             ri_counters: None,
         };
         let mut cell = fresh();
-        let (ok, skips) = restore_newest_ckpt(&mut cell, &dir, "aa", &fresh);
+        let (ok, skips) = restore_newest_ckpt(&mut cell, &dir, "aa", true, &fresh);
         assert!(!ok, "garbage files must not restore");
         assert_eq!(skips.len(), 2, "every invalid file for the stem is reported: {skips:?}");
         assert!(skips[0].contains("aa.100.ckpt"), "newest first: {skips:?}");
@@ -1191,6 +1165,45 @@ mod tests {
     }
 
     #[test]
+    fn simpoint_representative_ignores_periodic_checkpoints_of_its_stem() {
+        // A plain `--ffwd F --ckpt-every` run and a representative whose
+        // detailed run starts at F share a checkpoint stem. The
+        // representative must start from the boundary, never from the
+        // plain run's mid-run checkpoints.
+        let (pool, _) = restore_pool();
+        let dir = fresh_temp_dir("simpoint-collision");
+        let mut opts = HarnessOpts::new(Scale::Test);
+        opts.jobs = 1;
+        opts.simpoint = Some((1000, 2));
+        let cold = pool.run(&opts);
+        let plans = pool.simpoint_plans(&opts);
+        let plan = plans[0].as_ref().expect("the workload has a plan");
+        let rep = plan.reps.iter().max_by_key(|r| r.start_inst).expect("a representative");
+        let warm = plan.interval / SIMPOINT_WARMUP_DIV;
+        assert!(rep.start_inst > warm, "fixture: a representative past the program start");
+        let mut plain = HarnessOpts::new(Scale::Test);
+        plain.jobs = 1;
+        plain.ffwd = rep.start_inst - warm;
+        plain.ckpt_dir = Some(dir.clone());
+        plain.ckpt_every = 100;
+        pool.run(&plain);
+        let periodic = std::fs::read_dir(&dir)
+            .expect("checkpoint dir")
+            .filter(|e| {
+                !e.as_ref().expect("dir entry").file_name().to_string_lossy().ends_with(".0.ckpt")
+            })
+            .count();
+        assert!(periodic > 0, "the plain run wrote periodic checkpoints");
+        opts.ckpt_dir = Some(dir.clone());
+        let sampled = pool.run(&opts);
+        for (c, s) in cold.iter().zip(&sampled) {
+            assert_eq!(skips(s), 0, "no checkpoint was rejected");
+            assert_eq!(trajectory(s), trajectory(c), "the result must equal a cold SimPoint run");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn failed_memory_snapshot_restore_runs_cold_from_a_fresh_simulator() {
         let (pool, cfg) = restore_pool();
         let ffwd = 1000;
@@ -1203,16 +1216,15 @@ mod tests {
                 ffwd,
                 ckpt_dir: None,
                 ckpt_every: 0,
-                timing: false,
                 profile: false,
                 ckpt_mem: Some(ckpt_mem),
             };
-            let cold = pool.run_cell_with(i, seed, &rp(&mem), None);
+            let cold = pool.run_cell_with(i, seed, &rp(&mem), None, None);
             let stem = pool.ckpt_stem(&pool.cells[i], seed, ffwd);
             let bytes = mem.get(&stem).expect("the cold run shares its boundary snapshot");
             let bad = CkptMem::new();
             bad.put(&stem, with_page_outside_window(&bytes, cfg.mem_bytes));
-            let warm = pool.run_cell_with(i, seed, &rp(&bad), None);
+            let warm = pool.run_cell_with(i, seed, &rp(&bad), None, None);
             assert_eq!(skips(&warm), 1, "the corrupt snapshot is reported");
             assert_eq!(
                 trajectory(&warm),

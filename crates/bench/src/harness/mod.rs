@@ -1,18 +1,13 @@
 //! # The experiment harness
 //!
-//! A std-only replacement for Criterion plus a parallel experiment-grid
-//! runner. Two halves:
-//!
-//! * [`measure`] — a small wall-clock measurement core (warmup
-//!   iterations, N samples, median/MAD/min reporting) used by the
-//!   `cargo bench` targets;
-//! * [`CellPool`]/[`Experiment`] — the simulated-experiment grid: every
-//!   table and figure of the paper declares its (workload × engine ×
-//!   config) cells into a shared pool, the pool deduplicates identical
-//!   cells and caches each assembled [`mssr_workloads::Workload`] so it
-//!   is built once and shared immutably across engines, and
-//!   [`CellPool::run`] shards the cells across `std::thread::scope`
-//!   workers with a work-stealing index queue.
+//! A std-only parallel experiment-grid runner: every table and figure
+//! of the paper declares its (workload × engine × config) cells into a
+//! shared [`CellPool`] through its [`Experiment`], the pool deduplicates
+//! identical cells and caches each assembled
+//! [`mssr_workloads::Workload`] so it is built once and shared
+//! immutably across engines, and [`CellPool::run`] shards the cells
+//! across `std::thread::scope` workers with a work-stealing index
+//! queue.
 //!
 //! Everything reported from the grid derives from *simulated* statistics
 //! — deterministic integer counters — so output is byte-identical for
@@ -36,7 +31,6 @@
 
 mod experiments;
 mod grid;
-mod measure;
 pub mod metrics;
 pub mod report;
 pub mod serve;
@@ -48,7 +42,6 @@ pub use grid::{
     run_cells, CellId, CellPool, CellProfile, CellResult, CellSpec, EngineCfg, SimpointCellResult,
     SimpointRep,
 };
-pub use measure::{measure, MeasureConfig, Measurement};
 
 use mssr_sim::{json_escape, BpredKind, ProfBucket};
 use mssr_workloads::Scale;
@@ -87,10 +80,10 @@ pub struct HarnessOpts {
     /// per-interval statistics deltas every N cycles and emit them as
     /// sample events in the trajectory (requires `--json`).
     pub sample: u64,
-    /// Checkpoint directory (`--ckpt-dir`): cells restore the newest
-    /// valid checkpoint found there and save new ones per `ckpt_every`.
-    /// Checkpoint traffic is disabled under `--trace`/`--sample` — a
-    /// restored run would emit only the tail of its event stream.
+    /// Checkpoint directory (`--ckpt-dir`): cells restore a valid
+    /// checkpoint found there and save fast-forward boundary snapshots
+    /// plus, per `ckpt_every`, mid-run ones (see DESIGN.md, "Checkpoint
+    /// reuse rule", for which run may restore which).
     pub ckpt_dir: Option<std::path::PathBuf>,
     /// Functional fast-forward (`--ffwd N`): execute the first N
     /// instructions of every cell architecturally (warming branch
@@ -105,10 +98,6 @@ pub struct HarnessOpts {
     /// only the representatives; `mssr-report` reconstructs whole-program
     /// CPI from the weighted per-representative records.
     pub simpoint: Option<(u64, usize)>,
-    /// Measure host throughput (`--timing`): record each cell's
-    /// simulated-MIPS into its stats record. The one opt-in that makes
-    /// output machine-dependent — off for every byte-identity comparison.
-    pub timing: bool,
     /// Self-profile the simulator (`--profile`): attribute host
     /// wall-clock to each pipeline stage and the ckpt/ffwd/bbv paths,
     /// emitting one `{"type":"profile",...}` record per cell on
@@ -137,7 +126,6 @@ impl HarnessOpts {
             ffwd: 0,
             ckpt_every: 0,
             simpoint: None,
-            timing: false,
             profile: false,
             bpred: None,
         }
@@ -230,7 +218,6 @@ impl HarnessOpts {
                     }
                     opts.simpoint = Some((interval, maxk));
                 }
-                "--timing" => opts.timing = true,
                 "--profile" => opts.profile = true,
                 "--bpred" => {
                     let v = value("--bpred")?;
@@ -285,14 +272,13 @@ const USAGE: &str =
   --json          emit the JSON-lines trajectory instead of reports
   --trace         with --json: emit per-cell pipeline event records
   --sample N      with --json: emit per-cell statistics deltas every N cycles
-  --ckpt-dir DIR  reuse/save per-cell checkpoints in DIR (off under --trace/--sample)
+  --ckpt-dir DIR  reuse/save per-cell checkpoints in DIR
   --ffwd N        functionally fast-forward the first N instructions of each cell
   --ckpt-every N  with --ckpt-dir: save a checkpoint every N committed instructions
   --simpoint I,K  with --json: SimPoint sampling — cluster I-instruction BBV intervals (k <= K)
                   and run only the representative intervals of each workload
   --bpred NAME    force every cell onto one branch predictor
                   (tage | tagescl | ittage | alwayswrong | oracle; default: each cell's own config)
-  --timing        record per-cell simulated MIPS (wall-clock: output becomes machine-dependent)
   --profile       self-profile the simulator: emit per-cell {\"type\":\"profile\",...} records on
                   stderr (stdout stays byte-identical; render with mssr-report --profile FILE)";
 
@@ -523,12 +509,6 @@ mod tests {
         let err =
             HarnessOpts::from_iter(args(&["--bpred", "perceptron"]), Scale::Test).unwrap_err();
         assert!(err.contains("unknown predictor"), "{err}");
-    }
-
-    #[test]
-    fn timing_flag_parses_and_defaults_off() {
-        assert!(HarnessOpts::from_iter(args(&["--timing"]), Scale::Test).unwrap().timing);
-        assert!(!HarnessOpts::from_iter(args(&[]), Scale::Test).unwrap().timing);
     }
 
     #[test]

@@ -325,10 +325,6 @@ pub struct CellRecord {
     /// Cycles the fast-forward skipped (nominal 1 IPC; zero for
     /// straight-through runs).
     pub skipped_cycles: u64,
-    /// Host throughput in thousandths of simulated MIPS (`--timing`
-    /// runs only; zero means unmeasured). Display-only: wall-clock is
-    /// machine-dependent, so [`regressions`] never compares it.
-    pub sim_mips_milli: u64,
     /// `--sample` time series (empty without `--sample`).
     pub samples: Vec<SamplePoint>,
     /// `--simpoint` sampling record (plan + per-representative
@@ -522,7 +518,6 @@ impl Trajectory {
             reuse_grants: engine.field_u64("reuse_grants"),
             ffwd_insts: stats.field_u64("ffwd_insts"),
             skipped_cycles: stats.field_u64("skipped_cycles"),
-            sim_mips_milli: engine.field_u64("sim_mips_milli"),
             ..CellRecord::default()
         };
         if let Some(Json::Obj(kv)) = stats.get("account") {
@@ -676,7 +671,6 @@ pub fn cpi_stack_table(t: &Trajectory) -> String {
 /// and `speedup` always measure the detailed region only.
 pub fn speedup_table(t: &Trajectory) -> String {
     let ffwd = t.cells.iter().any(|c| c.ffwd_insts > 0);
-    let timing = t.cells.iter().any(|c| c.sim_mips_milli > 0);
     let mut header: Vec<String> =
         ["workload", "engine", "cycles", "speedup", "MPKI", "grants", "grant_rate", "coverage"]
             .iter()
@@ -685,9 +679,6 @@ pub fn speedup_table(t: &Trajectory) -> String {
     if ffwd {
         header.push("ffwd_insts".to_string());
         header.push("skipped_cycles".to_string());
-    }
-    if timing {
-        header.push("sim_MIPS".to_string());
     }
     let rows: Vec<Vec<String>> = t
         .cells
@@ -717,14 +708,6 @@ pub fn speedup_table(t: &Trajectory) -> String {
             if ffwd {
                 r.push(c.ffwd_insts.to_string());
                 r.push(c.skipped_cycles.to_string());
-            }
-            if timing {
-                // A dash marks cells without a measurement (e.g. a mixed
-                // trajectory concatenated from timed and untimed runs).
-                r.push(match c.sim_mips_milli {
-                    0 => "-".to_string(),
-                    v => milli(v),
-                });
             }
             r
         })
@@ -1349,29 +1332,6 @@ mod tests {
         let t = Trajectory::parse(&line).unwrap();
         assert_eq!(t.cells[1].ffwd_insts, 7);
         assert_eq!(t.cells[1].skipped_cycles, 7);
-    }
-
-    #[test]
-    fn sim_mips_column_appears_only_for_timed_trajectories() {
-        let plain = Trajectory::parse(&fixture()).unwrap();
-        assert!(!speedup_table(&plain).contains("sim_MIPS"));
-        let mut timed = plain.clone();
-        timed.cells[1].sim_mips_milli = 2500;
-        let r = speedup_table(&timed);
-        assert!(r.contains("sim_MIPS"), "throughput column present:\n{r}");
-        assert!(r.contains("2.500"), "MIPS rendered in thousandths:\n{r}");
-        assert!(r.contains('-'), "unmeasured cells show a dash:\n{r}");
-        // The field parses out of a trajectory's engine record.
-        let line =
-            fixture().replace("\"reuse_tests\":80,", "\"sim_mips_milli\":1750,\"reuse_tests\":80,");
-        let t = Trajectory::parse(&line).unwrap();
-        assert_eq!(t.cells[1].sim_mips_milli, 1750);
-        // And is excluded from the regression comparison: wildly
-        // different throughput between baseline and current is never a
-        // regression (wall-clock is machine-dependent).
-        let mut old = plain.clone();
-        old.cells[1].sim_mips_milli = 9_000_000;
-        assert!(regressions(&timed, &old, 5).is_empty());
     }
 
     fn fixture_simpoint() -> String {

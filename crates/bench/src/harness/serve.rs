@@ -54,13 +54,13 @@
 //! * **Graceful drain** — `shutdown` stops intake, lets queued cells
 //!   finish (their waiters get results), then replies `bye`.
 //!
-//! Checkpoint sharing follows the batch rule for *disk* checkpoints
-//! (unusable under sampling: a mid-run restore would truncate the event
-//! stream) but shares in-memory fast-forward *boundary* snapshots
-//! across every sampling mode — a boundary snapshot precedes all
-//! detailed cycles, so restoring one and re-asserting the requested
-//! sample interval reproduces a cold run exactly (see DESIGN.md,
-//! "Serve architecture").
+//! Checkpoint reuse follows the batch rule (DESIGN.md, "Checkpoint
+//! reuse rule"): a sampled request restores only fast-forward
+//! *boundary* snapshots, which the server also shares in memory across
+//! every sampling mode — a boundary snapshot precedes all detailed
+//! cycles, so restoring one and re-asserting the requested sample
+//! interval reproduces a cold run exactly (see DESIGN.md, "Serve
+//! architecture").
 
 use std::collections::{HashMap, VecDeque};
 use std::io::Read;
@@ -116,8 +116,8 @@ pub struct ServeOpts {
     /// Experiments whose cells form the server's universe (cell ids
     /// match a batch run of the same experiment list).
     pub experiments: Vec<String>,
-    /// Optional on-disk checkpoint directory (unsampled requests only,
-    /// same rule as the batch harness).
+    /// Optional on-disk checkpoint directory (same reuse rule as the
+    /// batch harness).
     pub ckpt_dir: Option<std::path::PathBuf>,
     /// Result-cache capacity in entries (FIFO eviction).
     pub cache_cap: usize,
@@ -390,12 +390,8 @@ fn run_job(state: &State, job: &Job) -> Served {
         trace: false,
         sample: job.sample,
         ffwd: job.ffwd,
-        // Disk checkpoints follow the batch rule (mid-run restores are
-        // unusable under sampling); the in-memory boundary cache is
-        // always shared.
-        ckpt_dir: if job.sample > 0 { None } else { state.opts.ckpt_dir.as_deref() },
+        ckpt_dir: state.opts.ckpt_dir.as_deref(),
         ckpt_every: 0,
-        timing: false,
         profile: false,
         ckpt_mem: Some(&state.ckpt_mem),
     };
@@ -406,8 +402,9 @@ fn run_job(state: &State, job: &Job) -> Served {
             let _ = send_line(&w, &format!("{{\"type\":\"event\",\"cell\":{cell},\"ev\":{line}}}"));
         }) as LiveSink
     });
-    match catch_unwind(AssertUnwindSafe(|| state.pool.run_cell_with(job.cell, job.seed, &rp, live)))
-    {
+    match catch_unwind(AssertUnwindSafe(|| {
+        state.pool.run_cell_with(job.cell, job.seed, &rp, None, live)
+    })) {
         Ok(res) => {
             if let Some((_, skips)) =
                 res.stats.engine.extra.iter().find(|(k, _)| k == "ckpt_restore_skips")

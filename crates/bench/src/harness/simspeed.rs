@@ -2,8 +2,8 @@
 //! simulator runs the Table 1 grid, and the CI gate that compares a
 //! PR's measured throughput against it.
 //!
-//! `ci/regen-bench-simspeed.sh` runs the grid under `--timing
-//! --profile` and calls [`measure`] + [`render`] to write
+//! `ci/regen-bench-simspeed.sh` runs the grid under `--profile` and
+//! calls [`measure`] + [`render`] to write
 //! `BENCH_simspeed.json`: per-engine min/median/max host throughput
 //! (thousandths of simulated MIPS) plus the stage-share breakdown from
 //! the self-profiler, so a perf regression shows up as *which stage got
@@ -48,14 +48,16 @@ pub struct Simspeed {
     pub engines: Vec<EngineSpeed>,
 }
 
-/// Aggregates a `--timing` trajectory and its `--profile` stderr stream
-/// into a [`Simspeed`] record.
+/// Aggregates a harness trajectory and its `--profile` stderr stream
+/// into a [`Simspeed`] record. Each cell's throughput is its profile
+/// record's [`ProfileRecord::sim_mips_milli`](super::report::ProfileRecord::sim_mips_milli).
 ///
 /// # Errors
 ///
-/// Returns a message when the trajectory is malformed, empty, or was
-/// run without `--timing` (every throughput would read zero — a
-/// baseline of zeros would wave every regression through).
+/// Returns a message when the trajectory is malformed or empty, or when
+/// a cell has no profile record (a run without `--profile` has no
+/// throughput, and a baseline without one would wave every regression
+/// through).
 pub fn measure(
     trajectory_text: &str,
     profile_text: &str,
@@ -65,27 +67,24 @@ pub fn measure(
     if t.cells.is_empty() {
         return Err("trajectory has no cells".to_string());
     }
-    if t.cells.iter().all(|c| c.sim_mips_milli == 0) {
-        return Err(
-            "trajectory carries no sim_mips_milli — run the harness with --timing".to_string()
-        );
-    }
     let profile = parse_profile(profile_text);
+    let mut cell_mips: Vec<(&str, u64)> = Vec::with_capacity(t.cells.len());
     let mut engines: Vec<EngineSpeed> = Vec::new();
     for cell in &t.cells {
-        if cell.sim_mips_milli == 0 {
+        let Some(rec) = profile.iter().find(|r| r.cell == cell.id) else {
             return Err(format!(
-                "cell {} ({} × {}) is untimed — run the whole grid with --timing",
+                "cell {} ({} × {}) has no profile record — run the whole grid with --profile",
                 cell.id, cell.workload, cell.engine
             ));
-        }
+        };
+        cell_mips.push((&cell.engine, rec.sim_mips_milli()));
         if !engines.iter().any(|e| e.engine == cell.engine) {
             engines.push(EngineSpeed { engine: cell.engine.clone(), ..EngineSpeed::default() });
         }
     }
     for e in &mut engines {
         let mut mips: Vec<u64> =
-            t.cells.iter().filter(|c| c.engine == e.engine).map(|c| c.sim_mips_milli).collect();
+            cell_mips.iter().filter(|c| c.0 == e.engine).map(|c| c.1).collect();
         mips.sort_unstable();
         e.cells = mips.len() as u64;
         e.mips_min_milli = mips[0];
@@ -227,37 +226,53 @@ pub fn check(current: &Simspeed, baseline: &Simspeed, min_ratio_pct: u64) -> Vec
 mod tests {
     use super::*;
 
-    fn cell(id: u64, workload: &str, engine: &str, mips_milli: u64) -> String {
-        format!(
-            concat!(
-                "{{\"type\":\"cell\",\"id\":{},\"workload\":\"{}\",\"suite\":\"micro\",",
-                "\"engine\":\"{}\",\"seed\":\"0x1\",\"stats\":{{\"cycles\":1000,",
-                "\"committed_instructions\":500,\"engine\":{{\"sim_mips_milli\":{}}},",
-                "\"account\":{{}}}}}}\n",
-            ),
-            id, workload, engine, mips_milli
-        )
-    }
+    const CELLS: [(u64, &str, &str, u64); 4] = [
+        (0, "a", "BASE", 3000),
+        (1, "a", "RCVG_2_64", 2000),
+        (2, "b", "BASE", 1000),
+        (3, "b", "RCVG_2_64", 6000),
+    ];
 
     fn fixture() -> String {
         let mut s = String::from(
             "{\"type\":\"meta\",\"root_seed\":\"0x1\",\"scale\":\"test\",\"cells\":4}\n",
         );
-        s.push_str(&cell(0, "a", "BASE", 3000));
-        s.push_str(&cell(1, "a", "RCVG_2_64", 2000));
-        s.push_str(&cell(2, "b", "BASE", 1000));
-        s.push_str(&cell(3, "b", "RCVG_2_64", 6000));
+        for (id, workload, engine, _) in CELLS {
+            s.push_str(&format!(
+                concat!(
+                    "{{\"type\":\"cell\",\"id\":{},\"workload\":\"{}\",\"suite\":\"micro\",",
+                    "\"engine\":\"{}\",\"seed\":\"0x1\",\"stats\":{{\"cycles\":1000,",
+                    "\"committed_instructions\":500,\"engine\":{{}},\"account\":{{}}}}}}\n",
+                ),
+                id, workload, engine
+            ));
+        }
         s
     }
 
+    /// One profile record per cell whose throughput is the cell's
+    /// fixture MIPS: `mips * 100` instructions in 100 ms. Only cell 0
+    /// attributes stage time (fetch 100 ns, execute 300 ns).
     fn profile_fixture() -> String {
-        concat!(
-            "{\"type\":\"profile\",\"cell\":0,\"workload\":\"a\",\"engine\":\"BASE\",",
-            "\"cycles\":1000,\"insts\":500,\"total_us\":100,\"stride\":64,",
-            "\"sampled_cycles\":16,\"ns\":{\"fetch\":100,\"rename\":0,\"issue\":0,",
-            "\"execute\":300,\"commit\":0,\"squash\":0,\"ckpt\":0,\"ffwd\":0,\"bbv\":0}}\n",
-        )
-        .to_string()
+        let mut s = String::new();
+        for (id, workload, engine, mips) in CELLS {
+            let (fetch, execute) = if id == 0 { (100, 300) } else { (0, 0) };
+            s.push_str(&format!(
+                concat!(
+                    "{{\"type\":\"profile\",\"cell\":{},\"workload\":\"{}\",\"engine\":\"{}\",",
+                    "\"cycles\":1000,\"insts\":{},\"total_us\":100000,\"stride\":64,",
+                    "\"sampled_cycles\":16,\"ns\":{{\"fetch\":{},\"rename\":0,\"issue\":0,",
+                    "\"execute\":{},\"commit\":0,\"squash\":0,\"ckpt\":0,\"ffwd\":0,\"bbv\":0}}}}\n",
+                ),
+                id,
+                workload,
+                engine,
+                mips * 100,
+                fetch,
+                execute
+            ));
+        }
+        s
     }
 
     #[test]
@@ -278,19 +293,22 @@ mod tests {
             base.stage_share_milli,
             vec![("fetch".to_string(), 250), ("execute".to_string(), 750)]
         );
-        // No profile records for RCVG → no share breakdown, still timed.
+        // RCVG's records attribute no stage time → no share breakdown.
         assert_eq!(s.engines[1].mips_median_milli, 2000);
         assert!(s.engines[1].stage_share_milli.is_empty());
     }
 
     #[test]
-    fn untimed_trajectories_are_rejected() {
-        let mut s = String::from(
-            "{\"type\":\"meta\",\"root_seed\":\"0x1\",\"scale\":\"test\",\"cells\":1}\n",
-        );
-        s.push_str(&cell(0, "a", "BASE", 0));
-        let err = measure(&s, "", "table1").unwrap_err();
-        assert!(err.contains("--timing"), "{err}");
+    fn cells_without_a_profile_record_are_rejected() {
+        let err = measure(&fixture(), "", "table1").unwrap_err();
+        assert!(err.contains("--profile"), "{err}");
+        let partial: String = profile_fixture()
+            .lines()
+            .filter(|l| !l.contains("\"cell\":3"))
+            .map(|l| l.to_string() + "\n")
+            .collect();
+        let err = measure(&fixture(), &partial, "table1").unwrap_err();
+        assert!(err.starts_with("cell 3 "), "the unprofiled cell is named: {err}");
     }
 
     #[test]
@@ -303,7 +321,7 @@ mod tests {
 
     #[test]
     fn check_gates_on_median_ratio() {
-        let base = measure(&fixture(), "", "table1").unwrap();
+        let base = measure(&fixture(), &profile_fixture(), "table1").unwrap();
         // Identical run: every engine at 100%.
         let same = check(&base, &base, 75);
         assert!(same.iter().all(|c| c.ok));

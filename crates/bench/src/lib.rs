@@ -2,8 +2,8 @@
 //!
 //! The experiment harness: one regenerator per table and figure of the
 //! paper. Each experiment declares its cells into the shared grid in
-//! [`harness`] (so the `cargo bench` targets and the CLI binaries share
-//! code); the binaries print the same rows/series the paper reports.
+//! [`harness`]; the binaries print the same rows/series the paper
+//! reports.
 //!
 //! | binary | regenerates |
 //! |---|---|
@@ -22,14 +22,12 @@
 //!
 //! Every binary accepts the shared harness flags (`--jobs`, `--seed`,
 //! `--scale`, `--json`); scale can also come from `MSSR_SCALE` (`test` /
-//! `medium` / `large`, default `medium` for binaries; the bench targets
-//! always use `test`).
+//! `medium` / `large`, default `medium`).
 
 pub mod harness;
 
-use mssr_core::{MssrConfig, MultiStreamReuse, RegisterIntegration, RiConfig};
-use mssr_sim::{ReuseEngine, SimConfig, SimStats};
-use mssr_workloads::{Scale, Workload};
+use mssr_sim::{SimConfig, SimStats};
+use mssr_workloads::Scale;
 
 /// The simulator configuration used by all experiments: the paper's
 /// Table 3 baseline, with one documented calibration — 10-bit RGIDs
@@ -93,32 +91,6 @@ impl EngineSpec {
             EngineSpec::Ri { sets, ways } => format!("RI_{sets}x{ways}"),
         }
     }
-
-    /// Builds the engine, or `None` for the baseline.
-    pub fn build(&self) -> Option<Box<dyn ReuseEngine>> {
-        match *self {
-            EngineSpec::Baseline => None,
-            EngineSpec::Mssr { streams, log_entries } => Some(Box::new(MultiStreamReuse::new(
-                MssrConfig::default()
-                    .with_streams(streams)
-                    .with_log_entries(log_entries)
-                    .with_wpb_entries((log_entries / 4).max(4)),
-            ))),
-            EngineSpec::Ri { sets, ways } => Some(Box::new(RegisterIntegration::new(
-                RiConfig::default().with_sets(sets).with_ways(ways),
-            ))),
-        }
-    }
-}
-
-/// Runs one workload under one engine spec with the experiment config.
-pub fn run_spec(w: &Workload, spec: EngineSpec) -> SimStats {
-    w.run(experiment_sim_config(), spec.build())
-}
-
-/// Runs one workload with an explicit engine (for ablations).
-pub fn run_with(w: &Workload, cfg: SimConfig, engine: Option<Box<dyn ReuseEngine>>) -> SimStats {
-    w.run(cfg, engine)
 }
 
 /// Percentage improvement of `opt` over `base` in cycle count
@@ -180,17 +152,6 @@ mod tests {
         assert_eq!(EngineSpec::Baseline.label(), "BASE");
         assert_eq!(EngineSpec::Mssr { streams: 4, log_entries: 64 }.label(), "RCVG_4_64");
         assert_eq!(EngineSpec::Ri { sets: 64, ways: 2 }.label(), "RI_64x2");
-    }
-
-    #[test]
-    fn spec_builds_engines() {
-        assert!(EngineSpec::Baseline.build().is_none());
-        assert_eq!(
-            EngineSpec::Mssr { streams: 2, log_entries: 64 }.build().unwrap().name(),
-            "mssr"
-        );
-        assert_eq!(EngineSpec::Mssr { streams: 1, log_entries: 64 }.build().unwrap().name(), "dci");
-        assert_eq!(EngineSpec::Ri { sets: 64, ways: 1 }.build().unwrap().name(), "ri");
     }
 
     #[test]

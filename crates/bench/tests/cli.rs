@@ -1,12 +1,6 @@
 //! Command-line behavior of the harness binaries that unit tests cannot
-//! see: argument validation exit codes and the one-line stderr warning
-//! for flag combinations the harness silently degrades.
-//!
-//! The warning test is the regression guard for a real footgun: with
-//! `--trace`/`--sample`, restoring a checkpoint would replay only the
-//! tail of the event stream, so the harness ignores `--ckpt-dir` — and
-//! before this suite existed it did so *silently*, leaving users to
-//! wonder why no checkpoints appeared.
+//! see: argument validation exit codes, stderr warnings and profile
+//! records, and checkpoint reuse end to end through the real binaries.
 
 use std::process::{Command, Output};
 
@@ -20,42 +14,47 @@ fn scratch(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-const CKPT_WARNING: &str = "--ckpt-dir is ignored under --trace/--sample";
-
-#[test]
-fn ckpt_dir_under_sample_warns_once_on_stderr() {
-    let dir = scratch("warn");
-    let out = table1(&[
-        "--scale",
-        "test",
-        "--json",
-        "--jobs",
-        "1",
-        "--sample",
-        "2000",
-        "--ckpt-dir",
-        dir.to_str().unwrap(),
-    ]);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(out.status.success(), "run failed: {stderr}");
-    assert!(stderr.contains(CKPT_WARNING), "missing warning, stderr: {stderr}");
-    assert_eq!(
-        stderr.matches(CKPT_WARNING).count(),
-        1,
-        "warning must print once, not per cell: {stderr}"
-    );
+/// Runs `table1 --ffwd 2000 --ckpt-dir DIR` with an event stream twice:
+/// the first run must store fast-forward boundary snapshots, and the
+/// second must restore them (its profile records show no fast-forward
+/// time) and print a byte-identical trajectory.
+fn streamed_run_reuses_boundary_snapshots(tag: &str, stream: &[&str]) {
+    let dir = scratch(tag);
+    let mut args = vec!["--scale", "test", "--json", "--jobs", "1", "--ffwd", "2000", "--profile"];
+    args.extend_from_slice(stream);
+    args.extend_from_slice(&["--ckpt-dir", dir.to_str().unwrap()]);
+    let cold = table1(&args);
+    assert!(cold.status.success(), "cold run failed: {}", String::from_utf8_lossy(&cold.stderr));
+    let boundaries = std::fs::read_dir(&dir)
+        .expect("ckpt dir")
+        .filter(|e| {
+            e.as_ref().expect("dir entry").file_name().to_string_lossy().ends_with(".0.ckpt")
+        })
+        .count();
+    assert!(boundaries > 0, "the cold run must write *.0.ckpt boundary snapshots");
+    let warm = table1(&args);
+    let stderr = String::from_utf8_lossy(&warm.stderr);
+    assert!(warm.status.success(), "warm run failed: {stderr}");
+    assert!(cold.stdout == warm.stdout, "the warm run's trajectory must be byte-identical");
+    let profs: Vec<&str> = stderr.lines().filter(|l| l.contains("\"type\":\"profile\"")).collect();
+    assert!(!profs.is_empty(), "fixture sanity: {stderr}");
+    for p in profs {
+        assert!(
+            p.contains("\"ffwd\":0"),
+            "every warm cell restored instead of fast-forwarding: {p}"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn ckpt_dir_without_trace_or_sample_stays_quiet() {
-    let dir = scratch("quiet");
-    let out =
-        table1(&["--scale", "test", "--json", "--jobs", "1", "--ckpt-dir", dir.to_str().unwrap()]);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(out.status.success(), "run failed: {stderr}");
-    assert!(!stderr.contains(CKPT_WARNING), "spurious warning: {stderr}");
-    let _ = std::fs::remove_dir_all(&dir);
+fn ckpt_dir_under_trace_restores_boundary_snapshots() {
+    streamed_run_reuses_boundary_snapshots("trace", &["--trace"]);
+}
+
+#[test]
+fn ckpt_dir_under_sample_restores_boundary_snapshots() {
+    streamed_run_reuses_boundary_snapshots("sample", &["--sample", "2000"]);
 }
 
 #[test]
@@ -162,13 +161,13 @@ fn rollup_appends_a_throughput_aggregate_only_when_timed() {
         assert!(out.status.success(), "rollup failed: {}", String::from_utf8_lossy(&out.stderr));
         String::from_utf8_lossy(&out.stdout).into_owned()
     };
-    // Untimed runs keep the plain CSV — byte-compatible with the
+    // Unprofiled runs keep the plain CSV — byte-compatible with the
     // determinism gates that cmp rollup output across --jobs.
     let plain = run(&["--scale", "test", "--jobs", "2"]);
     assert!(!plain.contains("SIM_MIPS_MILLI"), "untimed rollup must not aggregate: {plain}");
-    // --timing appends one aggregate row per configuration with ordered
+    // --profile appends one aggregate row per configuration with ordered
     // min <= median <= max throughput.
-    let timed = run(&["--scale", "test", "--jobs", "2", "--timing"]);
+    let timed = run(&["--scale", "test", "--jobs", "2", "--profile"]);
     let (csv, agg) = timed
         .split_once("\nCFG,SIM_MIPS_MILLI_MIN,SIM_MIPS_MILLI_MED,SIM_MIPS_MILLI_MAX\n")
         .expect("aggregate section");

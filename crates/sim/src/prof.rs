@@ -34,9 +34,8 @@
 //! are therefore byte-identical with profiling on or off; the
 //! determinism suite pins this.
 //!
-//! Host-time measurements are machine-dependent by nature, like the
-//! opt-in `--timing` field; both live outside every determinism
-//! contract.
+//! Host-time measurements are machine-dependent by nature, so they live
+//! outside every determinism contract.
 
 use std::cell::Cell;
 use std::time::Instant;

@@ -52,14 +52,6 @@ pub struct EngineStats {
     pub pressure_reclaims: u64,
     /// Reuse-table replacements (Register Integration).
     pub table_replacements: u64,
-    /// Simulated MIPS — millions of simulated instructions per host
-    /// wall-second — in fixed-point thousandths. Filled in by the
-    /// harness under `--timing`, zero otherwise. Wall-clock is
-    /// machine-dependent, so this is the one counter that is *not*
-    /// deterministic: it stays out of checkpoints, out of the
-    /// `--baseline` regression comparison, and out of the JSON record
-    /// unless actually measured.
-    pub sim_mips_milli: u64,
     /// Engine-specific named counters.
     pub extra: Vec<(String, u64)>,
 }
@@ -182,11 +174,6 @@ impl EngineStats {
         field("entries_logged", self.entries_logged);
         field("pressure_reclaims", self.pressure_reclaims);
         field("table_replacements", self.table_replacements);
-        // Only when measured: an always-present zero would change the
-        // byte-identical trajectories of every untimed run.
-        if self.sim_mips_milli > 0 {
-            field("sim_mips_milli", self.sim_mips_milli);
-        }
         out.push_str(",\"stream_distance\":[");
         for (i, v) in self.stream_distance.iter().enumerate() {
             if i > 0 {
@@ -665,22 +652,5 @@ mod tests {
         assert_eq!(e.stream_distance[6], 0, "distance 8 must not land in bucket 6");
         assert_eq!(e.stream_distance[7], 3, "distances 8, 9, 100 all land in the tail");
         assert_eq!(e.stream_distance.iter().sum::<u64>(), 4, "every event lands somewhere");
-    }
-
-    #[test]
-    fn sim_mips_is_emitted_only_when_measured() {
-        // Untimed runs leave the field zero, and the JSON record must be
-        // byte-identical to one from a build that predates the counter.
-        let mut e = EngineStats::default();
-        assert!(!e.to_json().contains("sim_mips"));
-        e.sim_mips_milli = 12_345;
-        assert!(e.to_json().contains("\"sim_mips_milli\":12345"));
-        // Wall-clock throughput never round-trips through checkpoints.
-        let mut w = CkptWriter::new();
-        e.ckpt_save(&mut w);
-        let bytes = w.finish();
-        let mut r = CkptReader::new(&bytes);
-        let back = EngineStats::ckpt_load(&mut r).expect("loads");
-        assert_eq!(back.sim_mips_milli, 0);
     }
 }
