@@ -17,7 +17,7 @@ const USAGE: &str = "usage: mssr-serve [server options]
        mssr-serve --fetch ADDR [--sample N] [--ffwd N]
        mssr-serve --load ADDR [--clients N] [--requests N] [--dup PCT] [--sample N] [--seed S]
        mssr-serve --metrics ADDR
-       mssr-serve (--ping | --stats | --shutdown) ADDR
+       mssr-serve --shutdown ADDR
 
 server options:
   --addr HOST:PORT   bind address (default 127.0.0.1:0; prints the bound port)
@@ -38,7 +38,6 @@ client modes:
                      batch-identical cell/event trajectory lines
   --load ADDR        drive concurrent load; stdout carries the BENCH_serve.json body
   --metrics ADDR     scrape the server; stdout carries Prometheus text exposition
-  --ping/--stats     one request, print the reply
   --shutdown ADDR    drain the server and wait for its `bye`";
 
 fn fail(msg: &str) -> ! {
@@ -56,10 +55,10 @@ fn parse_u64_arg(name: &str, v: &str) -> u64 {
     r.unwrap_or_else(|e| fail(&format!("{name}: {e}")))
 }
 
-/// One-request client modes (`--ping`, `--stats`, `--shutdown`).
-fn one_shot(addr: &str, req: &str) {
+/// The `--shutdown` client mode: one request, print the reply.
+fn shutdown(addr: &str) {
     let mut c = Client::connect(addr, 600_000).unwrap_or_else(|e| fail(&format!("connect: {e}")));
-    if !c.send(req) {
+    if !c.send("{\"type\":\"shutdown\"}") {
         fail("send failed");
     }
     match c.recv() {
@@ -79,7 +78,7 @@ fn main() {
         let mut value =
             |name: &str| it.next().unwrap_or_else(|| fail(&format!("{name} requires a value")));
         match arg.as_str() {
-            "--fetch" | "--load" | "--metrics" | "--ping" | "--stats" | "--shutdown" => {
+            "--fetch" | "--load" | "--metrics" | "--shutdown" => {
                 if mode.is_some() {
                     fail("one client mode at a time");
                 }
@@ -173,9 +172,7 @@ fn main() {
                 Ok(body) => print!("{body}"),
                 Err(e) => fail(&e),
             },
-            "--ping" => one_shot(&addr, "{\"type\":\"ping\"}"),
-            "--stats" => one_shot(&addr, "{\"type\":\"stats\"}"),
-            "--shutdown" => one_shot(&addr, "{\"type\":\"shutdown\"}"),
+            "--shutdown" => shutdown(&addr),
             _ => unreachable!(),
         },
     }

@@ -297,7 +297,7 @@ impl Experiment for Fig3 {
         out.push_str("paper: dark (high-replacement) sets at 1 way, mostly light at 4 ways\n\n");
         for (&id, ways) in ids.iter().zip([1usize, 2, 4]) {
             let r = &results[id];
-            let counts = r.ri_set_replacements.as_ref().expect("ri cell records counters");
+            let counts = &r.stats.engine.set_replacements;
             let max = counts.iter().copied().max().unwrap_or(1).max(1);
             let total: u64 = counts.iter().sum();
             out.push_str(&format!(

@@ -10,9 +10,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
-use mssr_core::{
-    MemCheckPolicy, MssrConfig, MultiStreamReuse, RegisterIntegration, RiConfig, RiCounters,
-};
+use mssr_core::{MemCheckPolicy, MssrConfig, MultiStreamReuse, RegisterIntegration, RiConfig};
 use mssr_sim::{
     fnv1a64, BbvCollector, BpredKind, CkptError, CycleAccount, ProfReport, ReuseEngine, SimConfig,
     SimStats, Simulator, TraceEvent, TraceKind, TraceSink, PROF_DEFAULT_STRIDE,
@@ -119,22 +117,6 @@ impl EngineCfg {
         cfg
     }
 
-    /// Builds the Register Integration engine, if this is an RI spec
-    /// (separate from [`EngineCfg::build`] so the grid runner can keep
-    /// the per-set replacement-counter handle).
-    pub fn build_ri(&self) -> Option<RegisterIntegration> {
-        match self.spec {
-            EngineSpec::Ri { sets, ways } => {
-                let mut cfg = RiConfig::default().with_sets(sets).with_ways(ways);
-                if let Some(p) = self.mem_policy {
-                    cfg = cfg.with_mem_policy(p);
-                }
-                Some(RegisterIntegration::new(cfg))
-            }
-            _ => None,
-        }
-    }
-
     /// Builds the engine, or `None` for the baseline.
     pub fn build(&self) -> Option<Box<dyn ReuseEngine>> {
         match self.spec {
@@ -142,8 +124,12 @@ impl EngineCfg {
             EngineSpec::Mssr { streams, log_entries } => {
                 Some(Box::new(MultiStreamReuse::new(self.mssr_config(streams, log_entries))))
             }
-            EngineSpec::Ri { .. } => {
-                Some(Box::new(self.build_ri().expect("ri spec")) as Box<dyn ReuseEngine>)
+            EngineSpec::Ri { sets, ways } => {
+                let mut cfg = RiConfig::default().with_sets(sets).with_ways(ways);
+                if let Some(p) = self.mem_policy {
+                    cfg = cfg.with_mem_policy(p);
+                }
+                Some(Box::new(RegisterIntegration::new(cfg)))
             }
         }
     }
@@ -168,8 +154,6 @@ pub struct CellResult {
     pub seed: u64,
     /// Simulated statistics.
     pub stats: SimStats,
-    /// Register Integration per-set replacement counts (RI cells only).
-    pub ri_set_replacements: Option<Vec<u64>>,
     /// The cell's JSON-lines event trace (`--trace` runs only). Events
     /// are collected per cell on the worker thread that ran it and
     /// emitted in cell order, so trace output is byte-identical across
@@ -547,22 +531,16 @@ impl CellPool {
 
     /// A freshly instantiated simulator for cell `spec`, armed for
     /// profiling but with no sampler or trace sink yet.
-    fn fresh_sim(&self, spec: &CellSpec, profile: bool) -> CellSim {
-        let ri = spec.engine.build_ri();
-        let ri_counters = ri.as_ref().map(RegisterIntegration::replacement_counters);
-        let engine = match ri {
-            Some(r) => Some(Box::new(r) as Box<dyn ReuseEngine>),
-            None => spec.engine.build(),
-        };
+    fn fresh_sim(&self, spec: &CellSpec, profile: bool) -> Simulator {
         let w = &self.workloads[spec.workload];
-        let mut sim = match engine {
+        let mut sim = match spec.engine.build() {
             Some(e) => w.instantiate_with(spec.cfg.clone(), e),
             None => w.instantiate(spec.cfg.clone()),
         };
         if profile {
             sim.set_profiling(PROF_DEFAULT_STRIDE);
         }
-        CellSim { sim, ri_counters }
+        sim
     }
 
     /// Runs one cell under explicit execution parameters: the whole
@@ -605,30 +583,20 @@ impl CellPool {
         };
         let mut skips: Vec<String> = Vec::new();
         let mut prof = ProfReport::default();
-        let mut ri_set_replacements: Option<Vec<u64>> = None;
         let mut measured = Vec::with_capacity(regions.len());
         for region in &regions {
-            let (mut cell, stem) = self.start_region(spec, seed, rp, region, &trace, &mut skips);
-            let sim = &mut cell.sim;
+            let (mut sim, stem) = self.start_region(spec, seed, rp, region, &trace, &mut skips);
             measured.push(match region.measure {
                 None => {
                     let periodic = rp.ckpt_every > 0 && region.resumes_mid_run(trace.is_some());
                     if let Some(dir) = rp.ckpt_dir.filter(|_| periodic) {
-                        save_periodic_ckpts(sim, dir, &stem, rp.ckpt_every);
+                        save_periodic_ckpts(&mut sim, dir, &stem, rp.ckpt_every);
                     }
-                    (w.finish(sim), 0)
+                    (w.finish(&mut sim), 0)
                 }
-                Some((warm, insts)) => measure_region(sim, warm, insts),
+                Some((warm, insts)) => measure_region(&mut sim, warm, insts),
             });
             prof.merge(&sim.profile_report());
-            // fig3's per-set replacement-frequency data.
-            if let Some(c) = cell.ri_counters {
-                let snap = c.borrow();
-                match &mut ri_set_replacements {
-                    Some(acc) => acc.iter_mut().zip(snap.iter()).for_each(|(a, b)| *a += b),
-                    None => ri_set_replacements = Some(snap.clone()),
-                }
-            }
         }
         let (mut stats, simpoint) = match plan {
             None => (measured.swap_remove(0).0, None),
@@ -669,7 +637,7 @@ impl CellPool {
         });
         record_ckpt_skips(&mut stats, &skips, i, w.name(), &spec.engine.label());
         let trace = trace.map(|t| std::mem::take(&mut t.borrow_mut().buf));
-        CellResult { seed, stats, ri_set_replacements, trace, simpoint, profile }
+        CellResult { seed, stats, trace, simpoint, profile }
     }
 
     /// Starts one detailed region: a fresh simulator positioned at the
@@ -686,30 +654,29 @@ impl CellPool {
         region: &Region,
         trace: &Option<Rc<RefCell<CellTrace>>>,
         skips: &mut Vec<String>,
-    ) -> (CellSim, String) {
+    ) -> (Simulator, String) {
         // The stem hashes the region's fast-forward depth, so a SimPoint
         // representative and a plain `--ffwd` cell with the same detailed
         // start share their boundary snapshot.
         let stem = self.ckpt_stem(spec, seed, region.ffwd);
         let mid_run = region.resumes_mid_run(trace.is_some());
         let fresh = || self.fresh_sim(spec, rp.profile);
-        let mut cell = fresh();
+        let mut sim = fresh();
         // Restores and the fast-forward all run before the sink
         // attaches: a donor may have checkpointed under a different trace
         // configuration, and nothing it replays belongs in this stream.
         let mut restored = false;
         if let Some(bytes) = rp.ckpt_mem.and_then(|mem| mem.get(&stem)) {
-            match cell.restore_or_renew(&bytes, &fresh) {
+            match restore_or_renew(&mut sim, &bytes, &fresh) {
                 Ok(()) => restored = true,
                 Err(e) => skips.push(format!("<memory snapshot>: {e}")),
             }
         }
         if let Some(dir) = rp.ckpt_dir.filter(|_| !restored) {
-            let (ok, disk_skips) = restore_newest_ckpt(&mut cell, dir, &stem, mid_run, &fresh);
+            let (ok, disk_skips) = restore_newest_ckpt(&mut sim, dir, &stem, mid_run, &fresh);
             skips.extend(disk_skips);
             restored = ok;
         }
-        let sim = &mut cell.sim;
         if !restored && region.ffwd > 0 {
             sim.fast_forward(region.ffwd);
             if rp.ckpt_dir.is_some() || rp.ckpt_mem.is_some() {
@@ -735,33 +702,24 @@ impl CellPool {
             sim.set_sample_interval(rp.sample);
             sim.rearm_tracing(mask);
         }
-        (cell, stem)
+        (sim, stem)
     }
 }
 
-/// A cell's simulator plus, for RI cells, the engine's per-set
-/// replacement counters (fig3's data), which live outside the simulator.
-struct CellSim {
-    sim: Simulator,
-    ri_counters: Option<RiCounters>,
-}
-
-impl CellSim {
-    /// Restores `bytes` into the simulator. On failure the simulator is
-    /// replaced by `fresh()`: a failed [`Simulator::restore`] may have
-    /// overwritten part of the machine, which must then be discarded, so
-    /// the caller's next attempt or cold fallback starts from a clean one.
-    fn restore_or_renew(
-        &mut self,
-        bytes: &[u8],
-        fresh: &dyn Fn() -> CellSim,
-    ) -> Result<(), CkptError> {
-        let r = self.sim.restore(bytes);
-        if r.is_err() {
-            *self = fresh();
-        }
-        r
+/// Restores `bytes` into `sim`. On failure `sim` is replaced by
+/// `fresh()`: a failed [`Simulator::restore`] may have overwritten part
+/// of the machine, which must then be discarded, so the caller's next
+/// attempt or cold fallback starts from a clean one.
+fn restore_or_renew(
+    sim: &mut Simulator,
+    bytes: &[u8],
+    fresh: &dyn Fn() -> Simulator,
+) -> Result<(), CkptError> {
+    let r = sim.restore(bytes);
+    if r.is_err() {
+        *sim = fresh();
     }
+    r
 }
 
 /// Runs a started SimPoint region: `warm` detailed warmup instructions,
@@ -834,6 +792,12 @@ fn merge_stats(a: &mut SimStats, b: &SimStats, f: fn(u64, u64) -> u64) {
     e.entries_logged = f(e.entries_logged, g.entries_logged);
     e.pressure_reclaims = f(e.pressure_reclaims, g.pressure_reclaims);
     e.table_replacements = f(e.table_replacements, g.table_replacements);
+    if e.set_replacements.len() < g.set_replacements.len() {
+        e.set_replacements.resize(g.set_replacements.len(), 0);
+    }
+    for (d, s) in e.set_replacements.iter_mut().zip(&g.set_replacements) {
+        *d = f(*d, *s);
+    }
     for (k, v) in &g.extra {
         let slot = e.extra_mut(k);
         *slot = f(*slot, *v);
@@ -879,22 +843,22 @@ fn record_ckpt_skips(stats: &mut SimStats, skips: &[String], i: CellId, w: &str,
 }
 
 /// Restores the newest valid checkpoint for `stem` from `dir` into
-/// `cell`: any `{stem}.{insts}.ckpt` when `mid_run` (see
+/// `sim`: any `{stem}.{insts}.ckpt` when `mid_run` (see
 /// [`Region::resumes_mid_run`]), else only the `{stem}.0.ckpt` boundary
 /// snapshot. Invalid or mismatched files (corruption, a different
 /// build's config) are skipped in favour of the next-newest; with none
 /// valid the cell just runs from scratch — checkpoints are an
 /// accelerator, never a correctness dependency. Every failed attempt
-/// leaves `cell` freshly re-instantiated by `fresh` (see
-/// [`CellSim::restore_or_renew`]). Each skipped file is reported back as
+/// leaves `sim` freshly re-instantiated by `fresh` (see
+/// [`restore_or_renew`]). Each skipped file is reported back as
 /// `"<name>: <reason>"` so the caller can surface the degradation
 /// instead of silently eating the cold-start cost.
 fn restore_newest_ckpt(
-    cell: &mut CellSim,
+    sim: &mut Simulator,
     dir: &Path,
     stem: &str,
     mid_run: bool,
-    fresh: &dyn Fn() -> CellSim,
+    fresh: &dyn Fn() -> Simulator,
 ) -> (bool, Vec<String>) {
     let mut skips = Vec::new();
     let Ok(entries) = std::fs::read_dir(dir) else { return (false, skips) };
@@ -917,7 +881,7 @@ fn restore_newest_ckpt(
                 continue;
             }
         };
-        match cell.restore_or_renew(&bytes, fresh) {
+        match restore_or_renew(sim, &bytes, fresh) {
             Ok(()) => return (true, skips),
             Err(e) => skips.push(format!("{name}: {e}")),
         }
@@ -1048,12 +1012,9 @@ mod tests {
         std::fs::write(dir.join("aa.50.ckpt"), b"also garbage").unwrap();
         std::fs::write(dir.join("bb.100.ckpt"), b"other stem, ignored").unwrap();
         let w = microbench::nested_mispred(10);
-        let fresh = || CellSim {
-            sim: w.instantiate(SimConfig::default().with_max_cycles(100_000)),
-            ri_counters: None,
-        };
-        let mut cell = fresh();
-        let (ok, skips) = restore_newest_ckpt(&mut cell, &dir, "aa", true, &fresh);
+        let fresh = || w.instantiate(SimConfig::default().with_max_cycles(100_000));
+        let mut sim = fresh();
+        let (ok, skips) = restore_newest_ckpt(&mut sim, &dir, "aa", true, &fresh);
         assert!(!ok, "garbage files must not restore");
         assert_eq!(skips.len(), 2, "every invalid file for the stem is reported: {skips:?}");
         assert!(skips[0].contains("aa.100.ckpt"), "newest first: {skips:?}");
@@ -1099,15 +1060,15 @@ mod tests {
     fn trajectory(r: &CellResult) -> String {
         let mut stats = r.stats.clone();
         stats.engine.extra.retain(|(k, _)| k != "ckpt_restore_skips");
-        format!("{}|{:?}|{:?}", stats.to_json(), r.ri_set_replacements, r.simpoint)
+        format!("{}|{:?}|{:?}", stats.to_json(), stats.engine.set_replacements, r.simpoint)
     }
 
     fn skips(r: &CellResult) -> u64 {
         r.stats.engine.extra.iter().find(|(k, _)| k == "ckpt_restore_skips").map_or(0, |e| e.1)
     }
 
-    /// BASE and RI (whose replacement counters live outside the
-    /// simulator) on one microbenchmark.
+    /// BASE and RI (which also reports per-set replacement counts) on
+    /// one microbenchmark.
     fn restore_pool() -> (CellPool, SimConfig) {
         let mut pool = CellPool::new(Scale::Test);
         let w = pool.intern(microbench::nested_mispred(200));
@@ -1294,7 +1255,6 @@ mod tests {
         assert!(EngineCfg::from(EngineSpec::Baseline).build().is_none());
         let ri = EngineCfg::from(EngineSpec::Ri { sets: 64, ways: 2 });
         assert_eq!(ri.label(), "RI_64x2");
-        assert!(ri.build_ri().is_some());
         assert_eq!(ri.build().unwrap().name(), "ri");
     }
 }

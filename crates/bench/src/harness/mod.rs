@@ -309,7 +309,10 @@ pub(crate) fn cell_json_line(pool: &CellPool, i: CellId, r: &CellResult) -> Stri
     if spec.cfg.bpred != BpredKind::default() {
         out.push_str(&format!(",\"bpred\":\"{}\"", spec.cfg.bpred.name()));
     }
-    if let Some(repl) = &r.ri_set_replacements {
+    // Register Integration's per-set replacement counts (fig3's data);
+    // other engines report none.
+    let repl = &r.stats.engine.set_replacements;
+    if !repl.is_empty() {
         out.push_str(",\"ri_set_replacements\":[");
         for (k, v) in repl.iter().enumerate() {
             if k > 0 {

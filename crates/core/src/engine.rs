@@ -45,7 +45,7 @@ use mssr_sim::{
 
 use crate::align;
 use crate::config::{MemCheckPolicy, MssrConfig};
-use crate::memcheck::BloomFilter;
+use crate::memcheck::HazardEvidence;
 use crate::stream::Stream;
 
 /// Fetch-block instruction limit used when regrouping squashed PCs into
@@ -101,14 +101,7 @@ pub struct MultiStreamReuse {
     renamed: u64,
     last_squash_id: u64,
     last_cause_seq: SeqNum,
-    bloom: BloomFilter,
-    /// Highest sequence number seen at rename (drives the Bloom barrier).
-    max_seen_seq: SeqNum,
-    /// Loads renamed at or before this sequence number read memory before
-    /// the last Bloom clear; their squashed results are never reusable
-    /// (the clear destroyed the store-address evidence that would protect
-    /// them). Only meaningful under [`MemCheckPolicy::BloomFilter`].
-    bloom_barrier: SeqNum,
+    hazards: HazardEvidence,
     overflow_events: u64,
     commits: u64,
     stats: EngineStats,
@@ -125,9 +118,7 @@ impl MultiStreamReuse {
             renamed: 0,
             last_squash_id: 0,
             last_cause_seq: SeqNum::ZERO,
-            bloom: BloomFilter::new(cfg.bloom_bits),
-            max_seen_seq: SeqNum::ZERO,
-            bloom_barrier: SeqNum::ZERO,
+            hazards: HazardEvidence::new(cfg.mem_policy, cfg.bloom_bits),
             overflow_events: 0,
             commits: 0,
             stats: EngineStats::default(),
@@ -183,19 +174,11 @@ impl MultiStreamReuse {
     /// Bloom reset and the "all logs unoccupied" RGID-reset trigger.
     fn after_invalidation(&mut self, ctx: &mut EngineCtx<'_>) {
         if self.streams.iter().all(|s| !s.valid) {
-            self.clear_bloom();
+            self.hazards.clear();
             if self.overflow_events > 0 {
                 self.request_rgid_reset(ctx);
             }
         }
-    }
-
-    /// Clears the Bloom filter and raises the load barrier: loads already
-    /// renamed may have read memory under evidence the clear destroys, so
-    /// their squashed results can never be reuse candidates.
-    fn clear_bloom(&mut self) {
-        self.bloom.clear();
-        self.bloom_barrier = self.max_seen_seq;
     }
 
     fn request_rgid_reset(&mut self, ctx: &mut EngineCtx<'_>) {
@@ -211,7 +194,7 @@ impl MultiStreamReuse {
                 s.invalidate(|p| ctx.free_list.release(p));
             }
         }
-        self.clear_bloom();
+        self.hazards.clear();
     }
 
     /// Activates a pending reconvergence when the corrected stream
@@ -348,8 +331,7 @@ impl ReuseEngine for MultiStreamReuse {
         if self.streams[si].valid {
             self.streams[si].invalidate(|p| ctx.free_list.release(p));
         }
-        let load_barrier =
-            (self.cfg.mem_policy == MemCheckPolicy::BloomFilter).then_some(self.bloom_barrier);
+        let load_barrier = self.hazards.load_barrier();
         self.streams[si].capture(
             ev,
             self.renamed,
@@ -361,16 +343,6 @@ impl ReuseEngine for MultiStreamReuse {
         );
         for e in self.streams[si].log.iter().filter(|e| e.preg_held) {
             ctx.free_list.retain(e.dst.expect("held entry has dst").preg);
-        }
-        if crate::trace_enabled() {
-            for e in &self.streams[si].log {
-                if e.load_addr.is_some_and(|a| a >> 3 == 0x100000 >> 3) {
-                    eprintln!(
-                        "CAPTURE load pc={} addr={:?} executed={} cycle={} stream={si}",
-                        e.pc, e.load_addr, e.executed, ctx.stage.cycle
-                    );
-                }
-            }
         }
         self.stats.streams_captured += 1;
         self.stats.entries_logged += self.streams[si].log.len() as u64;
@@ -402,12 +374,6 @@ impl ReuseEngine for MultiStreamReuse {
         self.stats.reuse_tests += 1;
         if e.consumed || !e.executed || !e.preg_held {
             self.stats.reuse_fail_not_executed += 1;
-            if crate::trace_enabled() {
-                eprintln!(
-                    "notexec pc={} op={} consumed={} executed={} held={}",
-                    q.pc, e.op, e.consumed, e.executed, e.preg_held
-                );
-            }
             return None;
         }
         let DstBinding { arch: dst_arch, preg, rgid } = e.dst?;
@@ -422,34 +388,16 @@ impl ReuseEngine for MultiStreamReuse {
                 (Some(cur), Some(old)) if cur.matches(old) => {}
                 _ => {
                     self.stats.reuse_fail_stale += 1;
-                    if crate::trace_enabled() {
-                        eprintln!(
-                            "stale pc={} src{} cur={:?} log={:?} op={}",
-                            q.pc, i, q.src_rgids[i], e.src_rgids[i], e.op
-                        );
-                    }
                     return None;
                 }
             }
         }
         let needs_load_verify = if e.is_load {
-            match self.cfg.mem_policy {
-                MemCheckPolicy::BloomFilter => {
-                    let addr = e.load_addr;
-                    if crate::trace_enabled() && addr.is_some_and(|a| a >> 3 == 0x100000 >> 3) {
-                        eprintln!(
-                            "BLOOM test {addr:?} hit={}",
-                            addr.is_none_or(|ad| self.bloom.maybe_contains(ad))
-                        );
-                    }
-                    if addr.is_none_or(|ad| self.bloom.maybe_contains(ad)) {
-                        self.stats.reuse_fail_mem += 1;
-                        return None;
-                    }
-                    false
-                }
-                MemCheckPolicy::LoadVerification => true,
-            }
+            let Some(verify) = self.hazards.admit_load(e.load_addr) else {
+                self.stats.reuse_fail_mem += 1;
+                return None;
+            };
+            verify
         } else {
             false
         };
@@ -462,15 +410,12 @@ impl ReuseEngine for MultiStreamReuse {
         if e.is_load {
             self.stats.reused_loads += 1;
         }
-        if crate::trace_enabled() {
-            eprintln!("mssr-grant pc={} op={}", q.pc, e.op);
-        }
         Some(ReuseGrant { preg, rgid: Some(rgid), load_addr, needs_load_verify })
     }
 
     fn on_renamed(&mut self, r: &RenamedInst, ctx: &mut EngineCtx<'_>) {
         self.renamed += 1;
-        self.max_seen_seq = self.max_seen_seq.max(r.seq);
+        self.hazards.renamed(r.seq);
         // Reconvergence instructions that are not reuse-eligible (stores,
         // branches) still begin the lockstep walk.
         self.maybe_activate(r.pc, ctx);
@@ -522,18 +467,11 @@ impl ReuseEngine for MultiStreamReuse {
     }
 
     fn on_store_executed(&mut self, addr: u64, _ctx: &mut EngineCtx<'_>) {
-        if self.cfg.mem_policy == MemCheckPolicy::BloomFilter {
-            if crate::trace_enabled() && addr >> 3 == 0x100000 >> 3 {
-                eprintln!("BLOOM insert {addr:#x} cycle={}", _ctx.stage.cycle);
-            }
-            self.bloom.insert(addr);
-        }
+        self.hazards.record_write(addr);
     }
 
     fn on_snoop(&mut self, addr: u64, _ctx: &mut EngineCtx<'_>) {
-        if self.cfg.mem_policy == MemCheckPolicy::BloomFilter {
-            self.bloom.insert(addr);
-        }
+        self.hazards.record_write(addr);
     }
 
     fn on_commit(&mut self, n: u64, _ctx: &mut EngineCtx<'_>) {
@@ -611,9 +549,7 @@ impl ReuseEngine for MultiStreamReuse {
         w.u64(self.renamed);
         w.u64(self.last_squash_id);
         w.seq(self.last_cause_seq);
-        self.bloom.ckpt_save(w);
-        w.seq(self.max_seen_seq);
-        w.seq(self.bloom_barrier);
+        self.hazards.ckpt_save(w);
         w.u64(self.overflow_events);
         w.u64(self.commits);
         self.stats.ckpt_save(w);
@@ -659,9 +595,7 @@ impl ReuseEngine for MultiStreamReuse {
         self.renamed = r.u64()?;
         self.last_squash_id = r.u64()?;
         self.last_cause_seq = r.seq()?;
-        self.bloom.ckpt_load(r)?;
-        self.max_seen_seq = r.seq()?;
-        self.bloom_barrier = r.seq()?;
+        self.hazards.ckpt_load(r)?;
         self.overflow_events = r.u64()?;
         self.commits = r.u64()?;
         self.stats = EngineStats::ckpt_load(r)?;

@@ -77,13 +77,6 @@ mod stream;
 
 pub use config::{MemCheckPolicy, MssrConfig};
 
-/// Whether `MSSR_TRACE` debugging output is enabled (checked once).
-pub(crate) fn trace_enabled() -> bool {
-    use std::sync::OnceLock;
-    static TRACE: OnceLock<bool> = OnceLock::new();
-    *TRACE.get_or_init(|| std::env::var_os("MSSR_TRACE").is_some())
-}
-
 pub use engine::MultiStreamReuse;
-pub use ri::{RegisterIntegration, RiConfig, RiCounters};
+pub use ri::{RegisterIntegration, RiConfig};
 pub use stream::{LogEntry, Stream};

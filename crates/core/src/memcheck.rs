@@ -5,8 +5,12 @@
 //! loads would otherwise be reused with stale data. Eager invalidation is
 //! expensive, so the paper proposes a Bloom filter over the interesting
 //! addresses, checked in parallel with the reuse test.
+//! [`HazardEvidence`] is that filter together with the load barrier
+//! both reuse engines keep beside it.
 
-use mssr_sim::{CkptError, CkptReader, CkptWriter};
+use mssr_sim::{CkptError, CkptReader, CkptWriter, SeqNum};
+
+use crate::config::MemCheckPolicy;
 
 /// A simple two-hash Bloom filter over 8-byte-granular addresses.
 ///
@@ -101,6 +105,91 @@ impl BloomFilter {
     }
 }
 
+/// The §3.8.3 store-address evidence a reuse engine keeps for its
+/// squashed loads, under one [`MemCheckPolicy`].
+///
+/// Under [`MemCheckPolicy::BloomFilter`] executed stores and snoops go
+/// into the filter, and a squashed load is reusable only if its address
+/// misses it. Clearing the filter destroys evidence, so a clear also
+/// raises a barrier to the highest sequence number renamed so far:
+/// loads renamed at or before it read memory under the lost evidence
+/// and are never captured as reusable. Under
+/// [`MemCheckPolicy::LoadVerification`] nothing is recorded and every
+/// reused load is re-executed instead.
+#[derive(Clone, Debug)]
+pub struct HazardEvidence {
+    policy: MemCheckPolicy,
+    bloom: BloomFilter,
+    /// Highest sequence number seen at rename.
+    max_seen_seq: SeqNum,
+    barrier: SeqNum,
+}
+
+impl HazardEvidence {
+    /// Empty evidence under `policy`, with a `bloom_bits`-bit filter.
+    pub fn new(policy: MemCheckPolicy, bloom_bits: usize) -> HazardEvidence {
+        HazardEvidence {
+            policy,
+            bloom: BloomFilter::new(bloom_bits),
+            max_seen_seq: SeqNum::ZERO,
+            barrier: SeqNum::ZERO,
+        }
+    }
+
+    /// Notes an instruction renamed with sequence number `seq`.
+    pub fn renamed(&mut self, seq: SeqNum) {
+        self.max_seen_seq = self.max_seen_seq.max(seq);
+    }
+
+    /// Records the address of an executed store or a snoop.
+    pub fn record_write(&mut self, addr: u64) {
+        if self.policy == MemCheckPolicy::BloomFilter {
+            self.bloom.insert(addr);
+        }
+    }
+
+    /// Clears the filter and raises the load barrier.
+    pub fn clear(&mut self) {
+        self.bloom.clear();
+        self.barrier = self.max_seen_seq;
+    }
+
+    /// The load barrier, under [`MemCheckPolicy::BloomFilter`] only:
+    /// loads renamed at or before it must not be captured for reuse.
+    pub fn load_barrier(&self) -> Option<SeqNum> {
+        (self.policy == MemCheckPolicy::BloomFilter).then_some(self.barrier)
+    }
+
+    /// The reuse verdict for a squashed load that read `addr`: `None`
+    /// rejects it (the address may have been written since), otherwise
+    /// whether the grant still needs re-execution to verify its value.
+    pub fn admit_load(&self, addr: Option<u64>) -> Option<bool> {
+        match self.policy {
+            MemCheckPolicy::LoadVerification => Some(true),
+            MemCheckPolicy::BloomFilter => {
+                addr.is_some_and(|a| !self.bloom.maybe_contains(a)).then_some(false)
+            }
+        }
+    }
+
+    /// Serializes the filter, then the highest renamed sequence number,
+    /// then the barrier. The policy comes from the engine configuration,
+    /// which the engine guards separately.
+    pub fn ckpt_save(&self, w: &mut CkptWriter) {
+        self.bloom.ckpt_save(w);
+        w.seq(self.max_seen_seq);
+        w.seq(self.barrier);
+    }
+
+    /// Restores state saved by [`HazardEvidence::ckpt_save`].
+    pub fn ckpt_load(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
+        self.bloom.ckpt_load(r)?;
+        self.max_seen_seq = r.seq()?;
+        self.barrier = r.seq()?;
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,6 +241,27 @@ mod tests {
         b.clear();
         assert!(!b.maybe_contains(0x42));
         assert_eq!(b.insertions(), 0);
+    }
+
+    #[test]
+    fn hazard_evidence_verdicts_follow_the_policy() {
+        let mut v = HazardEvidence::new(MemCheckPolicy::LoadVerification, 256);
+        v.record_write(0x40);
+        assert_eq!(v.admit_load(Some(0x40)), Some(true), "verified, never filtered");
+        assert_eq!(v.admit_load(None), Some(true));
+        assert_eq!(v.load_barrier(), None);
+
+        let mut b = HazardEvidence::new(MemCheckPolicy::BloomFilter, 256);
+        b.record_write(0x40);
+        assert_eq!(b.admit_load(Some(0x40)), None, "written address is rejected");
+        assert_eq!(b.admit_load(None), None, "unknown address is rejected");
+        assert_eq!(b.admit_load(Some(0x8000)), Some(false), "clean address needs no verify");
+        b.renamed(SeqNum::new(9));
+        b.renamed(SeqNum::new(7));
+        assert_eq!(b.load_barrier(), Some(SeqNum::ZERO));
+        b.clear();
+        assert_eq!(b.admit_load(Some(0x40)), Some(false), "clear drops the evidence");
+        assert_eq!(b.load_barrier(), Some(SeqNum::new(9)), "barrier rises to the newest rename");
     }
 
     #[test]

@@ -17,17 +17,14 @@
 //! * **Temporal references**: one PC-indexed entry per set conflict means
 //!   multiple dynamic instances fight for the same slot.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use mssr_isa::{ArchReg, Opcode, Pc};
 use mssr_sim::{
     fnv1a64, CkptError, CkptReader, CkptWriter, EngineCtx, EngineStats, FlushKind, PhysReg,
-    RenamedInst, ReuseEngine, ReuseGrant, ReuseQuery, SeqNum, SquashEvent,
+    RenamedInst, ReuseEngine, ReuseGrant, ReuseQuery, SquashEvent,
 };
 
 use crate::config::MemCheckPolicy;
-use crate::memcheck::BloomFilter;
+use crate::memcheck::HazardEvidence;
 use crate::stream::{arch_reg_from, opcode_from};
 
 /// Configuration of the Register Integration reuse table.
@@ -87,12 +84,6 @@ struct RiEntry {
     lru: u64,
 }
 
-/// Shared handle to the per-set replacement counters (Figure 3's data).
-///
-/// Obtain it with [`RegisterIntegration::replacement_counters`] *before*
-/// boxing the engine into the simulator; it stays readable afterwards.
-pub type RiCounters = Rc<RefCell<Vec<u64>>>;
-
 /// The Register Integration reuse engine.
 ///
 /// # Example
@@ -121,14 +112,10 @@ pub struct RegisterIntegration {
     /// Words per `refs` row: `ceil(sets * ways / 64)`.
     words: usize,
     tick: u64,
-    replacements: RiCounters,
-    bloom: BloomFilter,
-    /// Highest sequence number seen at rename.
-    max_seen_seq: SeqNum,
-    /// Loads renamed at or before this barrier read memory before the
-    /// last Bloom clear and are never inserted as reusable (see the
-    /// equivalent barrier in `MultiStreamReuse`).
-    bloom_barrier: SeqNum,
+    /// Replacements per set (Figure 3's data), reported by
+    /// [`ReuseEngine::stats`] as `EngineStats::set_replacements`.
+    replacements: Vec<u64>,
+    hazards: HazardEvidence,
     /// Reusable victim-set buffers for [`Self::invalidate_referencing`]:
     /// the evict recursion needs one copied `refs` row per depth, so each
     /// call pops a buffer and returns it when done. Transient — never
@@ -147,10 +134,8 @@ impl RegisterIntegration {
             refs: Vec::new(),
             words: slots.div_ceil(64),
             tick: 0,
-            replacements: Rc::new(RefCell::new(vec![0; cfg.sets])),
-            bloom: BloomFilter::new(cfg.bloom_bits),
-            max_seen_seq: SeqNum::ZERO,
-            bloom_barrier: SeqNum::ZERO,
+            replacements: vec![0; cfg.sets],
+            hazards: HazardEvidence::new(cfg.mem_policy, cfg.bloom_bits),
             scan_pool: Vec::new(),
             stats: EngineStats::default(),
             cfg,
@@ -160,11 +145,6 @@ impl RegisterIntegration {
     /// The engine's configuration.
     pub fn config(&self) -> &RiConfig {
         &self.cfg
-    }
-
-    /// Shared handle to the per-set replacement counters (Figure 3).
-    pub fn replacement_counters(&self) -> RiCounters {
-        Rc::clone(&self.replacements)
     }
 
     /// Number of valid entries (tests and introspection).
@@ -246,8 +226,7 @@ impl RegisterIntegration {
                 ctx.free_list.release(e.dst_preg);
             }
         }
-        self.bloom.clear();
-        self.bloom_barrier = self.max_seen_seq;
+        self.hazards.clear();
     }
 }
 
@@ -261,10 +240,7 @@ impl ReuseEngine for RegisterIntegration {
             if !inst.executed || inst.is_store {
                 continue;
             }
-            if inst.is_load
-                && self.cfg.mem_policy == MemCheckPolicy::BloomFilter
-                && inst.seq <= self.bloom_barrier
-            {
+            if inst.is_load && self.hazards.load_barrier().is_some_and(|b| inst.seq <= b) {
                 continue; // read predates the surviving hazard evidence
             }
             let Some(d) = inst.dst else { continue };
@@ -282,7 +258,7 @@ impl ReuseEngine for RegisterIntegration {
                         .set_slots(set)
                         .min_by_key(|&s| self.table[s].as_ref().map_or(0, |e| e.lru))
                         .expect("at least one way");
-                    self.replacements.borrow_mut()[set] += 1;
+                    self.replacements[set] += 1;
                     self.stats.table_replacements += 1;
                     self.evict(s, ctx);
                     s
@@ -334,16 +310,11 @@ impl ReuseEngine for RegisterIntegration {
         let e = self.table[slot].as_mut().expect("matched way is valid");
         e.lru = tick;
         let needs_load_verify = if e.is_load {
-            match self.cfg.mem_policy {
-                MemCheckPolicy::BloomFilter => {
-                    if e.load_addr.is_none_or(|a| self.bloom.maybe_contains(a)) {
-                        self.stats.reuse_fail_mem += 1;
-                        return None;
-                    }
-                    false
-                }
-                MemCheckPolicy::LoadVerification => true,
-            }
+            let Some(verify) = self.hazards.admit_load(e.load_addr) else {
+                self.stats.reuse_fail_mem += 1;
+                return None;
+            };
+            verify
         } else {
             false
         };
@@ -351,9 +322,6 @@ impl ReuseEngine for RegisterIntegration {
         // the live mapping.
         let e = self.remove(slot).expect("matched way is valid");
         let _ = ctx;
-        if crate::trace_enabled() {
-            eprintln!("ri-grant pc={} op={}", q.pc, e.op);
-        }
         self.stats.reuse_grants += 1;
         if q.src_pregs == [None, None] {
             *self.stats.extra_mut("ri_no_src_grants") += 1;
@@ -370,7 +338,7 @@ impl ReuseEngine for RegisterIntegration {
     }
 
     fn on_renamed(&mut self, r: &RenamedInst, _ctx: &mut EngineCtx<'_>) {
-        self.max_seen_seq = self.max_seen_seq.max(r.seq);
+        self.hazards.renamed(r.seq);
     }
 
     fn on_flush(&mut self, kind: FlushKind, ctx: &mut EngineCtx<'_>) {
@@ -397,15 +365,11 @@ impl ReuseEngine for RegisterIntegration {
     }
 
     fn on_store_executed(&mut self, addr: u64, _ctx: &mut EngineCtx<'_>) {
-        if self.cfg.mem_policy == MemCheckPolicy::BloomFilter {
-            self.bloom.insert(addr);
-        }
+        self.hazards.record_write(addr);
     }
 
     fn on_snoop(&mut self, addr: u64, _ctx: &mut EngineCtx<'_>) {
-        if self.cfg.mem_policy == MemCheckPolicy::BloomFilter {
-            self.bloom.insert(addr);
-        }
+        self.hazards.record_write(addr);
     }
 
     fn reuse_credit_latency(&self, op: Opcode, pipeline_estimate: u64) -> u64 {
@@ -421,6 +385,7 @@ impl ReuseEngine for RegisterIntegration {
     fn stats(&self) -> EngineStats {
         let mut s = self.stats.clone();
         s.extra.push(("ri_occupancy".to_string(), self.occupancy() as u64));
+        s.set_replacements = self.replacements.clone();
         s
     }
 
@@ -455,12 +420,10 @@ impl ReuseEngine for RegisterIntegration {
             }
         }
         w.u64(self.tick);
-        for &c in self.replacements.borrow().iter() {
+        for &c in &self.replacements {
             w.u64(c);
         }
-        self.bloom.ckpt_save(w);
-        w.seq(self.max_seen_seq);
-        w.seq(self.bloom_barrier);
+        self.hazards.ckpt_save(w);
         self.stats.ckpt_save(w);
     }
 
@@ -492,12 +455,10 @@ impl ReuseEngine for RegisterIntegration {
             }
         }
         self.tick = r.u64()?;
-        for c in self.replacements.borrow_mut().iter_mut() {
+        for c in &mut self.replacements {
             *c = r.u64()?;
         }
-        self.bloom.ckpt_load(r)?;
-        self.max_seen_seq = r.seq()?;
-        self.bloom_barrier = r.seq()?;
+        self.hazards.ckpt_load(r)?;
         self.stats = EngineStats::ckpt_load(r)?;
         Ok(())
     }
@@ -639,14 +600,13 @@ mod tests {
         let mut fl = freelist();
         let mut reset = false;
         let mut ri = RegisterIntegration::new(RiConfig::default().with_sets(4).with_ways(1));
-        let counters = ri.replacement_counters();
         // Two PCs mapping to the same set (stride = sets * 4 bytes).
         ri.on_mispredict_squash(
             &event(vec![sq_inst(0x1000, 80, [None, None]), sq_inst(0x1010, 81, [None, None])]),
             &mut ctx(&mut fl, &mut reset),
         );
         assert_eq!(ri.occupancy(), 1, "second insertion evicted the first");
-        assert_eq!(counters.borrow().iter().sum::<u64>(), 1);
+        assert_eq!(ri.stats().set_replacements.iter().sum::<u64>(), 1);
         assert_eq!(fl.holds(PhysReg::new(80)), 1, "victim's register released");
     }
 
@@ -661,7 +621,7 @@ mod tests {
     fn empty_table_has_zero_occupancy() {
         let ri = RegisterIntegration::new(RiConfig::default());
         assert_eq!(ri.occupancy(), 0);
-        assert_eq!(ri.replacement_counters().borrow().len(), 64);
+        assert_eq!(ri.stats().set_replacements.len(), 64);
     }
 
     /// Reference model for the differential test: the table as
@@ -675,7 +635,8 @@ mod tests {
 
     impl Model {
         fn new(sets: usize, ways: usize) -> Model {
-            Model { table: vec![vec![None; ways]; sets], tick: 0, stats: EngineStats::default() }
+            let stats = EngineStats { set_replacements: vec![0; sets], ..EngineStats::default() };
+            Model { table: vec![vec![None; ways]; sets], tick: 0, stats }
         }
 
         fn set_index(&self, pc: Pc) -> usize {
@@ -734,6 +695,7 @@ mod tests {
                             .min_by_key(|&w| self.table[set][w].as_ref().map_or(0, |e| e.lru))
                             .unwrap();
                         self.stats.table_replacements += 1;
+                        self.stats.set_replacements[set] += 1;
                         self.evict(set, w, fl);
                         w
                     }

@@ -286,9 +286,8 @@ fn rgid_overflow_triggers_reset_and_stays_correct() {
 #[test]
 fn ri_table_replacements_are_counted() {
     let ri = RegisterIntegration::new(RiConfig::default().with_sets(64).with_ways(1));
-    let counters = ri.replacement_counters();
     let (_, stats) = run(nested_branch_kernel(600), Some(Box::new(ri)), default_cfg());
-    let total: u64 = counters.borrow().iter().sum();
+    let total: u64 = stats.engine.set_replacements.iter().sum();
     assert_eq!(total, stats.engine.table_replacements);
     assert!(total > 0, "a direct-mapped table must conflict on this kernel");
 }
@@ -298,9 +297,8 @@ fn ri_higher_associativity_replaces_less() {
     let mut totals = Vec::new();
     for ways in [1usize, 4] {
         let ri = RegisterIntegration::new(RiConfig::default().with_sets(64).with_ways(ways));
-        let counters = ri.replacement_counters();
-        let _ = run(nested_branch_kernel(600), Some(Box::new(ri)), default_cfg());
-        totals.push(counters.borrow().iter().sum::<u64>());
+        let (_, stats) = run(nested_branch_kernel(600), Some(Box::new(ri)), default_cfg());
+        totals.push(stats.engine.set_replacements.iter().sum::<u64>());
     }
     assert!(
         totals[1] < totals[0],

@@ -34,6 +34,10 @@
 //! * [`Rule::StoreReuse`] — a store is never granted reuse (stores have
 //!   externally visible effects; the pipeline never even queries them,
 //!   and this rule keeps it that way).
+//! * [`Rule::ReuseValue`] — a granted register holds exactly what
+//!   re-executing the (non-load) instruction on its current sources
+//!   yields. Checked at every grant in debug builds; a mismatch means the
+//!   engine matched sources it should have rejected.
 //! * [`Rule::ReusedLoadVerify`] — `verify_pending` appears only on
 //!   reused loads, and no instruction commits while it is set (the
 //!   paper's §3.8.3 re-execution gate).
@@ -63,7 +67,7 @@ use crate::lsq::{LqEntry, SqEntry};
 use crate::stage::MachineState;
 #[cfg(debug_assertions)]
 use crate::stage::Scratch;
-use crate::types::{Rgid, SeqNum};
+use crate::types::{PhysReg, Rgid, SeqNum};
 
 /// Which invariant a [`Violation`] breaks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -82,6 +86,8 @@ pub enum Rule {
     RgidMonotone,
     /// A store marked as reused.
     StoreReuse,
+    /// A granted register whose value differs from re-execution.
+    ReuseValue,
     /// `verify_pending` on a non-reused-load entry, or a commit gated by
     /// an unfinished verification.
     ReusedLoadVerify,
@@ -111,6 +117,7 @@ impl Rule {
             Rule::LsqAgeOrder => "lsq-age-order",
             Rule::RgidMonotone => "rgid-monotone",
             Rule::StoreReuse => "store-reuse",
+            Rule::ReuseValue => "reuse-value",
             Rule::ReusedLoadVerify => "reused-load-verify",
             Rule::LoadIssuedAddr => "load-issued-addr",
             Rule::ForwardPending => "forward-pending",
@@ -244,6 +251,24 @@ pub fn check_reuse_safety(
                 format!("{seq} has verify_pending but is not a reused load"),
             ));
         }
+    }
+    None
+}
+
+/// Checks a non-load reuse grant against re-execution: `granted` (the
+/// value in the granted register `preg`) must equal `fresh`, what the
+/// instruction computes from its current sources.
+pub fn check_reuse_value(
+    seq: SeqNum,
+    preg: PhysReg,
+    granted: u64,
+    fresh: u64,
+) -> Option<Violation> {
+    if granted != fresh {
+        return Some(Violation::new(
+            Rule::ReuseValue,
+            format!("{seq} granted {preg} holding {granted}; re-execution yields {fresh}"),
+        ));
     }
     None
 }

@@ -82,7 +82,7 @@ pub use bpred::{
 };
 pub use check::{
     check_age_order, check_bbv, check_commit_entry, check_conservation, check_cpi_account,
-    check_lsq, check_reuse_safety, check_rgids, Rule, Violation,
+    check_lsq, check_reuse_safety, check_reuse_value, check_rgids, Rule, Violation,
 };
 pub use ckpt::{fnv1a64, seal, CkptError, CkptReader, CkptWriter, CKPT_MAGIC, CKPT_VERSION};
 pub use config::{CacheConfig, ConfigError, SimConfig};
@@ -100,7 +100,5 @@ pub use rename::{FreeList, Prf, Rat, RgidAlloc};
 pub use rob::{BranchOutcome, BranchState, DstInfo, Rob, RobEntry};
 pub use sample::{Sample, SampleRing, Sampler, DEFAULT_RING_CAPACITY};
 pub use stats::{json_escape, EngineStats, SimStats};
-pub use trace::{
-    BufferSink, CkptAction, JsonLinesSink, RingSink, TraceEvent, TraceKind, TraceSink,
-};
+pub use trace::{BufferSink, CkptAction, TraceEvent, TraceKind, TraceSink};
 pub use types::{FlushKind, FuClass, PhysReg, Rgid, SeqNum};

@@ -218,15 +218,6 @@ impl Simulator {
         self.tracer.take_sink()
     }
 
-    /// Restricts which event kinds reach the trace sink: a bitwise OR of
-    /// [`TraceKind::bit`] values. The default passes everything. The
-    /// harness's `--sample N` flag uses this to attach a sink masked to
-    /// [`TraceKind::Sample`] only, emitting the time series without the
-    /// per-instruction event stream.
-    pub fn set_trace_mask(&mut self, mask: u64) {
-        self.tracer.set_mask(mask);
-    }
-
     /// Enables interval sampling: every `interval` cycles a [`Sample`] of
     /// statistics deltas is recorded into the sample ring and emitted as
     /// a [`TraceEvent::Sample`] if a trace sink is attached. `0` (the

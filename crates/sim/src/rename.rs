@@ -8,16 +8,6 @@ use mssr_isa::{ArchReg, NUM_ARCH_REGS};
 use crate::ckpt::{CkptError, CkptReader, CkptWriter};
 use crate::types::{PhysReg, Rgid};
 
-/// The watched physical-register index from `MSSR_WATCH_PREG`, parsed
-/// once: the lookup sits on the rename/writeback hot paths, and an
-/// environment probe per register write would both cost time and
-/// allocate (the steady-state loop must not).
-fn watch_preg() -> Option<usize> {
-    use std::sync::OnceLock;
-    static WATCH: OnceLock<Option<usize>> = OnceLock::new();
-    *WATCH.get_or_init(|| std::env::var("MSSR_WATCH_PREG").ok().and_then(|w| w.parse().ok()))
-}
-
 /// The physical register file: values plus ready bits.
 #[derive(Clone, Debug)]
 pub struct Prf {
@@ -40,9 +30,6 @@ impl Prf {
 
     /// Writes a value and marks the register ready.
     pub fn write(&mut self, p: PhysReg, v: u64) {
-        if watch_preg() == Some(p.index()) {
-            eprintln!("WATCH write {p} = {v}");
-        }
         self.vals[p.index()] = v;
         self.ready[p.index()] = true;
     }
@@ -136,19 +123,12 @@ impl FreeList {
         }
     }
 
-    fn watch(p: PhysReg, what: &str, extra: u32) {
-        if watch_preg() == Some(p.index()) {
-            eprintln!("WATCH {what} {p} holds={extra}");
-        }
-    }
-
     /// Allocates a register with one hold, or `None` if the list is empty.
     pub fn alloc(&mut self) -> Option<PhysReg> {
         let p = self.free.pop_front()?;
         debug_assert_eq!(self.holds[p.index()], 0, "allocated register had live holds");
         self.holds[p.index()] = 1;
         self.total += 1;
-        Self::watch(p, "alloc", 1);
         Some(p)
     }
 
@@ -161,7 +141,6 @@ impl FreeList {
         debug_assert!(self.holds[p.index()] > 0, "retain of a free register {p}");
         self.holds[p.index()] += 1;
         self.total += 1;
-        Self::watch(p, "retain", self.holds[p.index()]);
     }
 
     /// Drops one hold; the register becomes allocatable at zero holds.
@@ -174,11 +153,9 @@ impl FreeList {
         assert!(*h > 0, "release of {p} with zero holds");
         *h -= 1;
         self.total -= 1;
-        let left = self.holds[p.index()];
-        if left == 0 {
+        if *h == 0 {
             self.free.push_back(p);
         }
-        Self::watch(p, "release", left);
     }
 
     /// Current hold count of a register.
@@ -321,10 +298,6 @@ impl Rat {
     /// (recorded in the ROB for rollback).
     pub fn install(&mut self, a: ArchReg, p: PhysReg, g: Rgid) -> (PhysReg, Rgid) {
         let prev = (self.map[a.index()], self.rgid[a.index()]);
-        let w = watch_preg();
-        if w.is_some() && (w == Some(p.index()) || w == Some(prev.0.index())) {
-            eprintln!("WATCH install {a}: {p} {g} (prev {} {})", prev.0, prev.1);
-        }
         self.map[a.index()] = p;
         self.rgid[a.index()] = g;
         prev
@@ -332,9 +305,6 @@ impl Rat {
 
     /// Restores a previous mapping during rollback.
     pub fn restore(&mut self, a: ArchReg, p: PhysReg, g: Rgid) {
-        if watch_preg() == Some(p.index()) {
-            eprintln!("WATCH restore {a}: {p} {g}");
-        }
         self.map[a.index()] = p;
         self.rgid[a.index()] = g;
     }

@@ -227,13 +227,6 @@ pub(crate) fn fu_class(op: Opcode) -> Option<FuClass> {
     }
 }
 
-/// Whether the `MSSR_PARANOID` reuse-oracle cross-checks are enabled.
-pub(crate) fn paranoid_enabled() -> bool {
-    use std::sync::OnceLock;
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| std::env::var_os("MSSR_PARANOID").is_some())
-}
-
 /// Groups a predicted instruction stream into contiguous [`BlockRange`]s,
 /// splitting on taken predictions, PC discontinuities, and `max_block`.
 /// Clears `out` first and fills it in place (hot-loop scratch

@@ -7,10 +7,9 @@
 use mssr_isa::{ArchReg, Opcode};
 
 use crate::engine::{DstBinding, RenamedInst, ReuseEngine, ReuseQuery};
-use crate::exec;
-use crate::lsq::{Forward, LqEntry, SqEntry};
+use crate::lsq::{LqEntry, SqEntry};
 use crate::rob::{BranchState, DstInfo, RobEntry};
-use crate::stage::{ectx, fu_class, paranoid_enabled, MachineState};
+use crate::stage::{ectx, fu_class, MachineState};
 use crate::trace::{TraceEvent, Tracer};
 use crate::types::{FuClass, Rgid, SeqNum};
 
@@ -112,28 +111,17 @@ pub(crate) fn run(st: &mut MachineState, engine: &mut dyn ReuseEngine, tracer: &
                 st.account.credit_recon_fetches += 1;
             }
             st.grants_total += 1;
-            if paranoid_enabled() && !inst.is_load() {
-                // Debug oracle: a sound ALU grant implies the granted
-                // register holds exactly what re-executing the
-                // instruction on its current (RGID-matched) sources
-                // would produce.
+            #[cfg(debug_assertions)]
+            if !inst.is_load() {
+                // A sound ALU grant hands over exactly what re-executing
+                // the instruction on its current (reuse-test-matched)
+                // sources would produce.
                 let a = src_pregs[0].map_or(0, |p| st.prf.read(p));
                 let b = src_pregs[1].map_or(0, |p| st.prf.read(p));
-                if let Some(fresh) = exec::alu(inst.op(), a, b, inst.imm()) {
+                if let Some(fresh) = crate::exec::alu(inst.op(), a, b, inst.imm()) {
                     let got = st.prf.read(g.preg);
-                    if fresh != got {
-                        eprintln!(
-                            "PARANOID-ALU cycle={} seq={} pc={} op={} granted={} fresh={} srcs={:?} gens={:?} dst={}",
-                            st.cycle,
-                            seq,
-                            fi.pc,
-                            inst.op(),
-                            got,
-                            fresh,
-                            src_pregs,
-                            src_rgids,
-                            g.preg
-                        );
+                    if let Some(v) = crate::check::check_reuse_value(seq, g.preg, got, fresh) {
+                        panic!("invariant violation at cycle {}: {v}", st.cycle);
                     }
                 }
             }
@@ -149,27 +137,6 @@ pub(crate) fn run(st: &mut MachineState, engine: &mut dyn ReuseEngine, tracer: &
             completed = true;
             reused = true;
             if inst.is_load() {
-                if paranoid_enabled() {
-                    // Debug oracle: the reused value should match what
-                    // the load would read right now (unless an older
-                    // store with an unknown address is still in
-                    // flight, which store_check later covers).
-                    if let Some(addr) = g.load_addr {
-                        let fresh = match st.lsq.forward(seq, addr) {
-                            Forward::Data(v) => v,
-                            // Pending data counts as unknown; fall back
-                            // to memory like the pre-Forward oracle did.
-                            _ => st.memory.read_u64(addr),
-                        };
-                        let got = st.prf.read(g.preg);
-                        if fresh != got {
-                            eprintln!(
-                                "PARANOID cycle={} seq={} pc={} addr={:#x} reused={} fresh={}",
-                                st.cycle, seq, fi.pc, addr, got, fresh
-                            );
-                        }
-                    }
-                }
                 st.lsq.push_load(LqEntry {
                     seq,
                     addr: g.load_addr,

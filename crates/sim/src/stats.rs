@@ -6,8 +6,9 @@ use crate::ckpt::{CkptError, CkptReader, CkptWriter};
 /// Counters maintained by a reuse engine.
 ///
 /// The same struct serves all engines; counters an engine does not use
-/// stay zero, and engine-specific series (e.g. Register Integration's
-/// per-set replacement counts) go into [`EngineStats::extra`].
+/// stay zero, engine-specific named counters go into
+/// [`EngineStats::extra`], and Register Integration's per-set
+/// replacement counts into [`EngineStats::set_replacements`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Reuse tests performed at rename.
@@ -54,6 +55,11 @@ pub struct EngineStats {
     pub table_replacements: u64,
     /// Engine-specific named counters.
     pub extra: Vec<(String, u64)>,
+    /// Reuse-table replacements per set (Register Integration; empty for
+    /// other engines). Figure 3's data. Neither [`EngineStats::to_json`]
+    /// nor the checkpoint record carries it: the harness emits it in the
+    /// cell line, and the engine checkpoints its own copy.
+    pub set_replacements: Vec<u64>,
 }
 
 impl EngineStats {

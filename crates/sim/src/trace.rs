@@ -3,10 +3,9 @@
 //! The simulator can emit a compact, typed event for every architectural
 //! milestone an instruction passes — fetch, rename, issue, writeback,
 //! commit — plus the two events squash reuse revolves around: pipeline
-//! squashes and reuse grants. Events flow into a [`TraceSink`]; two sinks
-//! are provided, a JSON-lines writer ([`JsonLinesSink`] /
-//! [`BufferSink`]) and a bounded in-memory ring ([`RingSink`]) for
-//! post-mortem inspection in tests and debuggers.
+//! squashes and reuse grants. Events flow into a [`TraceSink`]; the
+//! provided one, [`BufferSink`], writes JSON lines into a shared string
+//! buffer the caller reads back after the run.
 //!
 //! Tracing is **zero-cost when off**: the pipeline consults
 //! [`Tracer::on`] (an `Option` discriminant test) before constructing an
@@ -20,8 +19,6 @@
 //! documented in `EXPERIMENTS.md`; `DESIGN.md` describes how the trace
 //! subsystem and the `check` invariant checker fit into the pipeline.
 
-use std::collections::VecDeque;
-use std::io::Write;
 use std::sync::{Arc, Mutex};
 
 use mssr_isa::Pc;
@@ -332,36 +329,6 @@ pub trait TraceSink {
     fn flush(&mut self) {}
 }
 
-/// A sink that writes one JSON object per line to any [`Write`] target.
-#[derive(Debug)]
-pub struct JsonLinesSink<W: Write> {
-    w: W,
-}
-
-impl<W: Write> JsonLinesSink<W> {
-    /// Wraps a writer.
-    pub fn new(w: W) -> JsonLinesSink<W> {
-        JsonLinesSink { w }
-    }
-
-    /// Unwraps the writer.
-    pub fn into_inner(self) -> W {
-        self.w
-    }
-}
-
-impl<W: Write> TraceSink for JsonLinesSink<W> {
-    fn record(&mut self, ev: &TraceEvent) {
-        // Trace output is best-effort diagnostics; a failed write must
-        // not abort a deterministic simulation.
-        let _ = writeln!(self.w, "{}", ev.to_json());
-    }
-
-    fn flush(&mut self) {
-        let _ = self.w.flush();
-    }
-}
-
 /// A JSON-lines sink backed by a shared string buffer.
 ///
 /// The simulator owns the sink (`Box<dyn TraceSink>`), so a caller that
@@ -390,54 +357,6 @@ impl TraceSink for BufferSink {
         let mut b = self.buf.lock().expect("trace buffer poisoned");
         b.push_str(&ev.to_json());
         b.push('\n');
-    }
-}
-
-/// A bounded in-memory ring of the most recent events.
-///
-/// Useful as a flight recorder: cheap enough to leave attached, and on a
-/// failure the last `capacity` events show what the pipeline was doing.
-#[derive(Debug)]
-pub struct RingSink {
-    ring: VecDeque<TraceEvent>,
-    capacity: usize,
-    dropped: u64,
-}
-
-impl RingSink {
-    /// A ring holding at most `capacity` events (at least 1).
-    pub fn new(capacity: usize) -> RingSink {
-        RingSink { ring: VecDeque::new(), capacity: capacity.max(1), dropped: 0 }
-    }
-
-    /// The retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.ring.iter()
-    }
-
-    /// Number of events evicted to respect the capacity bound.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Number of retained events.
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// Whether no events are retained.
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
-    }
-}
-
-impl TraceSink for RingSink {
-    fn record(&mut self, ev: &TraceEvent) {
-        if self.ring.len() == self.capacity {
-            self.ring.pop_front();
-            self.dropped += 1;
-        }
-        self.ring.push_back(*ev);
     }
 }
 
@@ -648,18 +567,6 @@ mod tests {
     }
 
     #[test]
-    fn json_lines_sink_writes_one_line_per_event() {
-        let mut sink = JsonLinesSink::new(Vec::new());
-        for ev in sample() {
-            sink.record(&ev);
-        }
-        let out = String::from_utf8(sink.into_inner()).unwrap();
-        assert_eq!(out.lines().count(), 9);
-        assert!(out.ends_with('\n'));
-        assert!(out.lines().all(|l| l.starts_with("{\"ev\":\"")));
-    }
-
-    #[test]
     fn buffer_sink_shares_contents_through_handle() {
         let sink = BufferSink::new();
         let handle = sink.handle();
@@ -672,26 +579,13 @@ mod tests {
     }
 
     #[test]
-    fn ring_sink_keeps_the_most_recent_events() {
-        let mut ring = RingSink::new(3);
-        for ev in sample() {
-            ring.record(&ev);
-        }
-        assert_eq!(ring.len(), 3);
-        assert_eq!(ring.dropped(), 6);
-        let kinds: Vec<TraceKind> = ring.events().map(|e| e.kind()).collect();
-        assert_eq!(kinds, [TraceKind::ReuseGrant, TraceKind::Sample, TraceKind::Ckpt]);
-        assert!(!ring.is_empty());
-    }
-
-    #[test]
     fn tracer_counts_only_while_a_sink_is_attached() {
         let mut t = Tracer::default();
         assert!(!t.on());
         assert!(!t.active());
         t.emit(sample()[0]); // dropped: no sink
         assert_eq!(t.count(TraceKind::Fetch), 0);
-        t.set_sink(Box::new(RingSink::new(8)));
+        t.set_sink(Box::new(BufferSink::new()));
         assert!(t.on());
         t.emit(sample()[0]);
         t.emit(sample()[4]);
@@ -705,7 +599,7 @@ mod tests {
     #[test]
     fn mask_filters_kinds_before_the_sink() {
         let mut t = Tracer::default();
-        t.set_sink(Box::new(RingSink::new(16)));
+        t.set_sink(Box::new(BufferSink::new()));
         t.set_mask(TraceKind::Sample.bit() | TraceKind::Squash.bit());
         for ev in sample() {
             t.emit(ev);
@@ -721,7 +615,7 @@ mod tests {
     #[test]
     fn tracer_state_round_trips_through_checkpoint() {
         let mut t = Tracer::default();
-        t.set_sink(Box::new(RingSink::new(16)));
+        t.set_sink(Box::new(BufferSink::new()));
         t.set_mask(TraceKind::Commit.bit() | TraceKind::Ckpt.bit());
         for ev in sample() {
             t.emit(ev);
@@ -739,7 +633,7 @@ mod tests {
         assert_eq!(back.count(TraceKind::Fetch), 0);
         assert!(!back.on(), "sinks are not serialized");
         // The restored mask still filters: a fetch event is dropped.
-        back.set_sink(Box::new(RingSink::new(4)));
+        back.set_sink(Box::new(BufferSink::new()));
         back.emit(sample()[0]);
         assert_eq!(back.count(TraceKind::Fetch), 0);
     }
@@ -747,7 +641,7 @@ mod tests {
     #[test]
     fn reset_counts_clears_every_kind_but_keeps_the_sink_and_mask() {
         let mut t = Tracer::default();
-        t.set_sink(Box::new(RingSink::new(16)));
+        t.set_sink(Box::new(BufferSink::new()));
         t.set_mask(TraceKind::Sample.bit());
         for ev in sample() {
             t.emit(ev);

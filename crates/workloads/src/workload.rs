@@ -2,7 +2,7 @@
 //! image and architectural result checks.
 
 use mssr_isa::Program;
-use mssr_sim::{ReuseEngine, SimConfig, SimStats, Simulator, TraceKind, TraceSink};
+use mssr_sim::{ReuseEngine, SimConfig, SimStats, Simulator};
 
 /// Which benchmark suite a workload belongs to (mirrors the paper's
 /// evaluation: SPECint2006, SPECint2017 and GAP, plus the §2.2
@@ -128,68 +128,10 @@ impl Workload {
     /// or a result check fails — a failed check means a reuse engine
     /// corrupted architectural state, which is always a bug.
     pub fn run(&self, cfg: SimConfig, engine: Option<Box<dyn ReuseEngine>>) -> SimStats {
-        self.run_inner(cfg, engine, None, 0, true)
-    }
-
-    /// Like [`Workload::run`], but with a trace sink attached for the
-    /// whole run (see `mssr_sim::TraceEvent` for the event schema). Use
-    /// a `BufferSink` and keep its handle to collect the trace after the
-    /// run.
-    ///
-    /// # Panics
-    ///
-    /// As [`Workload::run`].
-    pub fn run_traced(
-        &self,
-        cfg: SimConfig,
-        engine: Option<Box<dyn ReuseEngine>>,
-        sink: Box<dyn TraceSink>,
-    ) -> SimStats {
-        self.run_inner(cfg, engine, Some(sink), 0, true)
-    }
-
-    /// The general instrumented entry point behind [`Workload::run`] and
-    /// [`Workload::run_traced`]: an optional sink, an interval-sampling
-    /// period (`0` = off), and whether per-instruction pipeline events
-    /// flow into the sink. With `sample > 0` and `pipeline_events` false,
-    /// the sink receives the sample time series only — the harness's
-    /// `--sample N` mode.
-    ///
-    /// # Panics
-    ///
-    /// As [`Workload::run`].
-    pub fn run_instrumented(
-        &self,
-        cfg: SimConfig,
-        engine: Option<Box<dyn ReuseEngine>>,
-        sink: Option<Box<dyn TraceSink>>,
-        sample: u64,
-        pipeline_events: bool,
-    ) -> SimStats {
-        self.run_inner(cfg, engine, sink, sample, pipeline_events)
-    }
-
-    fn run_inner(
-        &self,
-        cfg: SimConfig,
-        engine: Option<Box<dyn ReuseEngine>>,
-        sink: Option<Box<dyn TraceSink>>,
-        sample: u64,
-        pipeline_events: bool,
-    ) -> SimStats {
         let mut sim = match engine {
             Some(e) => self.instantiate_with(cfg, e),
             None => self.instantiate(cfg),
         };
-        if sample > 0 {
-            sim.set_sample_interval(sample);
-        }
-        if let Some(s) = sink {
-            sim.set_trace_sink(s);
-            if !pipeline_events {
-                sim.set_trace_mask(TraceKind::Sample.bit());
-            }
-        }
         self.finish(&mut sim)
     }
 

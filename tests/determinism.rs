@@ -210,21 +210,40 @@ fn sample_records_and_report_are_independent_of_worker_count() {
 /// change to the memory encoding cannot move them unnoticed.
 #[test]
 fn checkpoint_restore_resumes_bit_identically_for_every_engine() {
-    use mssr::core::{RegisterIntegration, RiConfig};
+    use mssr::core::{MemCheckPolicy, RegisterIntegration, RiConfig};
     use mssr::sim::{fnv1a64, BufferSink, ReuseEngine, Simulator};
     let w = microbench::nested_mispred(200);
     type MkEngine = fn() -> Option<Box<dyn ReuseEngine>>;
+    const BLOOM: MemCheckPolicy = MemCheckPolicy::BloomFilter;
     // (name, engine, pinned fnv1a64 of the K-instruction snapshot).
-    let engines: [(&str, MkEngine, Option<u64>); 4] = [
-        ("base", || None, Some(PIN_BASE)),
-        ("mssr", || Some(Box::new(MultiStreamReuse::new(MssrConfig::default()))), Some(PIN_MSSR)),
+    let engines: [(&str, MkEngine, u64); 6] = [
+        ("base", || None, PIN_BASE),
+        ("mssr", || Some(Box::new(MultiStreamReuse::new(MssrConfig::default()))), PIN_MSSR),
         // streams = 1 degenerates MSSR to classic DCI.
         (
             "dci",
             || Some(Box::new(MultiStreamReuse::new(MssrConfig::default().with_streams(1)))),
-            None,
+            PIN_DCI,
         ),
-        ("ri", || Some(Box::new(RegisterIntegration::new(RiConfig::default()))), Some(PIN_RI)),
+        ("ri", || Some(Box::new(RegisterIntegration::new(RiConfig::default()))), PIN_RI),
+        // The Bloom-filter policy puts store-address evidence and the
+        // load barrier into the engine section.
+        (
+            "mssr-bloom",
+            || {
+                let cfg = MssrConfig::default().with_mem_policy(BLOOM);
+                Some(Box::new(MultiStreamReuse::new(cfg)))
+            },
+            PIN_MSSR_BLOOM,
+        ),
+        (
+            "ri-bloom",
+            || {
+                let cfg = RiConfig::default().with_mem_policy(BLOOM);
+                Some(Box::new(RegisterIntegration::new(cfg)))
+            },
+            PIN_RI_BLOOM,
+        ),
     ];
     const K: u64 = 500; // snapshot boundary, in committed instructions
                         // A word far from the workload's footprint, dirtied in the used
@@ -252,9 +271,7 @@ fn checkpoint_restore_resumes_bit_identically_for_every_engine() {
         let mut b = instantiate(mk());
         b.run_until_insts(K);
         let bytes = b.snapshot();
-        if let Some(pin) = pin {
-            assert_eq!(fnv1a64(&bytes), pin, "{name}: snapshot bytes moved");
-        }
+        assert_eq!(fnv1a64(&bytes), pin, "{name}: snapshot bytes moved");
 
         // Restore into a *fresh* simulator, and into one that ran on to
         // 2K (dirtying memory the snapshot never saw), then finish each
@@ -297,6 +314,9 @@ fn checkpoint_restore_resumes_bit_identically_for_every_engine() {
 const PIN_BASE: u64 = 0x6127_c1ac_f602_313a;
 const PIN_MSSR: u64 = 0x8660_d49a_5db2_c00b;
 const PIN_RI: u64 = 0xb096_a668_1f3b_28fa;
+const PIN_DCI: u64 = 0xf9e8_88f9_bd75_5ed2;
+const PIN_MSSR_BLOOM: u64 = 0xccf8_8da7_7a86_f0f6;
+const PIN_RI_BLOOM: u64 = 0xffdc_51ed_4c00_bec4;
 
 /// Table 1's six Register Integration cells at test scale, pinned to
 /// their recorded counters. The report gate tolerates small IPC moves

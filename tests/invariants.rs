@@ -62,6 +62,64 @@ fn seeded_free_list_leak_is_detected() {
     w.run(cfg(), Some(Box::new(LeakyEngine { leaked: false })));
 }
 
+/// An engine whose reuse test ignores the sources: it retains the
+/// result of one squashed ALU instruction and grants it to the next
+/// non-load instruction at another PC. It reports its hold, so the
+/// register accounting stays clean and only the granted value is wrong.
+#[cfg(debug_assertions)]
+struct WrongValueEngine {
+    held: Option<(mssr::sim::PhysReg, mssr::isa::Pc)>,
+}
+
+#[cfg(debug_assertions)]
+impl ReuseEngine for WrongValueEngine {
+    fn name(&self) -> &'static str {
+        "wrong-value"
+    }
+
+    fn on_mispredict_squash(&mut self, ev: &SquashEvent, ctx: &mut EngineCtx<'_>) {
+        if self.held.is_some() {
+            return;
+        }
+        let alu = ev.insts.iter().find(|i| {
+            i.executed && !i.is_load && !i.is_store && !i.op.is_control() && i.dst.is_some()
+        });
+        if let Some(i) = alu {
+            let d = i.dst.expect("filtered on dst");
+            ctx.free_list.retain(d.preg);
+            self.held = Some((d.preg, i.pc));
+        }
+    }
+
+    fn try_reuse(
+        &mut self,
+        q: &mssr::sim::ReuseQuery<'_>,
+        _ctx: &mut EngineCtx<'_>,
+    ) -> Option<mssr::sim::ReuseGrant> {
+        let (preg, pc) = self.held?;
+        if q.inst.is_load() || q.pc == pc {
+            return None;
+        }
+        self.held = None;
+        Some(mssr::sim::ReuseGrant { preg, rgid: None, load_addr: None, needs_load_verify: false })
+    }
+
+    fn reserved_hold_count(&self) -> u64 {
+        self.held.is_some() as u64
+    }
+}
+
+/// Negative control for the `reuse-value` rule: a grant of a register
+/// holding another instruction's result panics at the grant, before the
+/// wrong value can reach a consumer.
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "reuse-value")]
+fn seeded_wrong_reuse_value_is_detected() {
+    let w = microbench::nested_mispred(400);
+    w.run(cfg(), Some(Box::new(WrongValueEngine { held: None })));
+}
+
 /// A reordered load-queue push trips the LSQ age-order rule.
 #[test]
 fn seeded_lsq_reorder_is_detected() {

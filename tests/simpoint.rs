@@ -74,6 +74,35 @@ fn sampling_simulates_at_most_a_fifth_of_the_instructions_in_detail() {
     }
 }
 
+/// Register Integration's per-set replacement counts measure the same
+/// detailed regions as its `table_replacements` counter: the whole run
+/// in a plain cell; in a sampled cell each representative's measured
+/// interval, warmup subtracted, summed over representatives.
+#[test]
+fn ri_set_replacements_sum_to_table_replacements() {
+    use mssr_bench::harness::report::Json;
+    for (mode, opts) in [("plain", full_opts()), ("simpoint", sampled_opts())] {
+        let out = run_named(&["table1"], &opts);
+        let mut ri_cells = 0;
+        for line in out.lines().filter(|l| l.starts_with("{\"type\":\"cell\"")) {
+            let cell = Json::parse(line).expect("cell line parses");
+            let Some(Json::Arr(sets)) = cell.get("ri_set_replacements") else { continue };
+            let per_set: u64 = sets.iter().map(|v| v.num().expect("integer count")).sum();
+            let engine = cell.get("stats").and_then(|s| s.get("engine")).expect("engine stats");
+            let name = |k: &str| cell.get(k).and_then(Json::str_val).unwrap_or("?").to_string();
+            assert_eq!(
+                per_set,
+                engine.field_u64("table_replacements"),
+                "{mode} {}/{}: per-set counts must sum to table_replacements",
+                name("workload"),
+                name("engine")
+            );
+            ri_cells += 1;
+        }
+        assert_eq!(ri_cells, 6, "{mode}: table1 has six RI cells");
+    }
+}
+
 #[test]
 fn sampled_trajectories_are_byte_identical_across_runs_and_jobs() {
     let a = run_named(&["table1"], &sampled_opts());
