@@ -10,7 +10,6 @@
 use mssr_bench::harness::serve::{
     fetch_all, fetch_metrics, load_gen, Client, LoadOpts, ServeOpts, Server,
 };
-use mssr_bench::scale_from_env;
 use mssr_workloads::Scale;
 
 const USAGE: &str = "usage: mssr-serve [server options]
@@ -24,7 +23,7 @@ server options:
   --jobs N           worker threads (default: all cores)
   --queue-bound N    queued cells before `busy` rejections (default 64)
   --timeout-ms N     per-request wait budget (default 60000)
-  --scale S          cell universe scale: test|medium|large (default: MSSR_SCALE, then medium)
+  --scale S          cell universe scale: test|medium|large (default: medium)
   --seed S           root seed for default per-cell seeds (default 0x4d535352)
   --experiments A,B  experiment list forming the cell universe (default: all)
   --ckpt-dir DIR     reuse/save per-cell checkpoints in DIR
@@ -69,7 +68,7 @@ fn shutdown(addr: &str) {
 
 fn main() {
     let mut mode: Option<(String, String)> = None; // (mode flag, server addr)
-    let mut opts = ServeOpts::new(scale_from_env(Scale::Medium));
+    let mut opts = ServeOpts::new(Scale::Medium);
     let mut load = LoadOpts::new("");
     let mut fetch_sample = 0u64;
     let mut fetch_ffwd = 0u64;

@@ -607,7 +607,7 @@ impl CellPool {
                     .iter()
                     .zip(&measured)
                     .map(|(rep, (delta, warmup_insts))| {
-                        merge_stats(&mut sum, delta, u64::wrapping_add);
+                        sum.merge(delta, u64::wrapping_add);
                         SimpointRep {
                             index: rep.index,
                             start_inst: rep.start_inst,
@@ -738,76 +738,10 @@ fn measure_region(sim: &mut Simulator, warm: u64, insts: u64) -> (SimStats, u64)
         st = sim.stats(); // trace_* counters final only after flush
     }
     let mut delta = st.clone();
-    merge_stats(&mut delta, &warm_stats, u64::saturating_sub);
+    delta.merge(&warm_stats, u64::saturating_sub);
     delta.ffwd_insts = st.ffwd_insts + warm_stats.committed_instructions;
     delta.skipped_cycles = st.skipped_cycles + warm_stats.cycles;
     (delta, warm_stats.committed_instructions)
-}
-
-/// Field-wise merge of two stats records through `f` — `a = f(a, b)`
-/// per counter. With `wrapping_add` it sums representative intervals
-/// into the cell total; with `saturating_sub` it subtracts a warmup
-/// snapshot to isolate the measured region.
-fn merge_stats(a: &mut SimStats, b: &SimStats, f: fn(u64, u64) -> u64) {
-    a.cycles = f(a.cycles, b.cycles);
-    a.committed_instructions = f(a.committed_instructions, b.committed_instructions);
-    a.committed_branches = f(a.committed_branches, b.committed_branches);
-    a.committed_cond_branches = f(a.committed_cond_branches, b.committed_cond_branches);
-    a.mispredictions = f(a.mispredictions, b.mispredictions);
-    a.renamed_instructions = f(a.renamed_instructions, b.renamed_instructions);
-    a.squashed_instructions = f(a.squashed_instructions, b.squashed_instructions);
-    a.flushes_branch = f(a.flushes_branch, b.flushes_branch);
-    a.flushes_mem_order = f(a.flushes_mem_order, b.flushes_mem_order);
-    a.flushes_reuse_verify = f(a.flushes_reuse_verify, b.flushes_reuse_verify);
-    a.committed_loads = f(a.committed_loads, b.committed_loads);
-    a.committed_stores = f(a.committed_stores, b.committed_stores);
-    a.store_forwards = f(a.store_forwards, b.store_forwards);
-    a.store_forward_stalls = f(a.store_forward_stalls, b.store_forward_stalls);
-    a.l1_hits = f(a.l1_hits, b.l1_hits);
-    a.l1_misses = f(a.l1_misses, b.l1_misses);
-    a.l2_hits = f(a.l2_hits, b.l2_hits);
-    a.l2_misses = f(a.l2_misses, b.l2_misses);
-    a.snoops = f(a.snoops, b.snoops);
-    a.ffwd_insts = f(a.ffwd_insts, b.ffwd_insts);
-    a.skipped_cycles = f(a.skipped_cycles, b.skipped_cycles);
-    let (e, g) = (&mut a.engine, &b.engine);
-    e.reuse_tests = f(e.reuse_tests, g.reuse_tests);
-    e.reuse_grants = f(e.reuse_grants, g.reuse_grants);
-    e.reused_loads = f(e.reused_loads, g.reused_loads);
-    e.reuse_fail_stale = f(e.reuse_fail_stale, g.reuse_fail_stale);
-    e.reuse_fail_not_executed = f(e.reuse_fail_not_executed, g.reuse_fail_not_executed);
-    e.reuse_fail_mem = f(e.reuse_fail_mem, g.reuse_fail_mem);
-    e.reconvergences = f(e.reconvergences, g.reconvergences);
-    e.recon_simple = f(e.recon_simple, g.recon_simple);
-    e.recon_software = f(e.recon_software, g.recon_software);
-    e.recon_hardware = f(e.recon_hardware, g.recon_hardware);
-    for (d, s) in e.stream_distance.iter_mut().zip(g.stream_distance) {
-        *d = f(*d, s);
-    }
-    e.divergences = f(e.divergences, g.divergences);
-    e.timeouts = f(e.timeouts, g.timeouts);
-    e.rgid_overflows = f(e.rgid_overflows, g.rgid_overflows);
-    e.rgid_resets = f(e.rgid_resets, g.rgid_resets);
-    e.streams_captured = f(e.streams_captured, g.streams_captured);
-    e.entries_logged = f(e.entries_logged, g.entries_logged);
-    e.pressure_reclaims = f(e.pressure_reclaims, g.pressure_reclaims);
-    e.table_replacements = f(e.table_replacements, g.table_replacements);
-    if e.set_replacements.len() < g.set_replacements.len() {
-        e.set_replacements.resize(g.set_replacements.len(), 0);
-    }
-    for (d, s) in e.set_replacements.iter_mut().zip(&g.set_replacements) {
-        *d = f(*d, *s);
-    }
-    for (k, v) in &g.extra {
-        let slot = e.extra_mut(k);
-        *slot = f(*slot, *v);
-    }
-    for (d, s) in a.account.slots.iter_mut().zip(b.account.slots) {
-        *d = f(*d, s);
-    }
-    a.account.credit_reuse_cycles = f(a.account.credit_reuse_cycles, b.account.credit_reuse_cycles);
-    a.account.credit_recon_fetches =
-        f(a.account.credit_recon_fetches, b.account.credit_recon_fetches);
 }
 
 /// Writes `bytes` as `{stem}.{insts}.ckpt` in `dir` unless that file
@@ -839,7 +773,7 @@ fn record_ckpt_skips(stats: &mut SimStats, skips: &[String], i: CellId, w: &str,
         skips.len(),
         skips.join("; ")
     ));
-    stats.engine.extra.push(("ckpt_restore_skips".to_string(), skips.len() as u64));
+    *stats.engine.extra_mut("ckpt_restore_skips") = skips.len() as u64;
 }
 
 /// Restores the newest valid checkpoint for `stem` from `dir` into
@@ -1192,6 +1126,41 @@ mod tests {
                 trajectory(&cold),
                 "a failed restore must leave a cold run"
             );
+        }
+    }
+
+    #[test]
+    fn gauges_keep_their_end_value_and_stay_out_of_simpoint_totals() {
+        let gauge =
+            |s: &SimStats, k: &str| s.engine.extra.iter().find(|(key, _)| key == k).map(|e| e.1);
+        let engines = [
+            (EngineSpec::Ri { sets: 64, ways: 2 }, "ri_occupancy"),
+            (EngineSpec::Mssr { streams: 4, log_entries: 64 }, "valid_streams"),
+        ];
+        let mut pool = CellPool::new(Scale::Test);
+        let w = pool.intern(microbench::nested_mispred(500));
+        let cfg = SimConfig::default().with_max_cycles(1_000_000);
+        for (spec, _) in &engines {
+            pool.cell(w, (*spec).into(), cfg.clone());
+        }
+        let (warm, insts) = (14_000, 500);
+        for (i, (_, key)) in engines.iter().enumerate() {
+            let mut probe = pool.fresh_sim(&pool.cells[i], false);
+            probe.run_until_insts(warm);
+            let at_warm = gauge(&probe.stats(), key).expect("the engine reports its gauge");
+            assert!(at_warm > 0, "fixture: {key} is nonzero at the warmup end");
+            let mut sim = pool.fresh_sim(&pool.cells[i], false);
+            let (delta, _) = measure_region(&mut sim, warm, insts);
+            let end = gauge(&sim.stats(), key);
+            assert!(end.is_some_and(|v| v > 0), "fixture: {key} is nonzero at the region end");
+            assert_eq!(gauge(&delta, key), end, "{key}: a region reports its end value");
+        }
+        let mut opts = HarnessOpts::new(Scale::Test);
+        opts.jobs = 1;
+        opts.simpoint = Some((2000, 3));
+        for (r, (_, key)) in pool.run(&opts).iter().zip(&engines) {
+            assert!(r.simpoint.is_some(), "fixture: a SimPoint cell");
+            assert_eq!(gauge(&r.stats, key), None, "{key}: no gauge in a SimPoint total");
         }
     }
 

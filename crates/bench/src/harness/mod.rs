@@ -133,14 +133,13 @@ impl HarnessOpts {
 
     /// Parses CLI arguments (`--jobs N`, `--seed S`, `--scale
     /// test|medium|large`, `--json`, `--trace`, `--sample N`, `--help`).
-    /// The scale defaults to `MSSR_SCALE` when set, then to
-    /// `default_scale`.
+    /// The scale defaults to `default_scale`.
     ///
     /// # Panics
     ///
     /// Exits the process with usage on an unknown or malformed argument.
     pub fn parse_args(default_scale: Scale) -> HarnessOpts {
-        match Self::from_iter(std::env::args().skip(1), crate::scale_from_env(default_scale)) {
+        match Self::from_iter(std::env::args().skip(1), default_scale) {
             Ok(opts) => opts,
             Err(msg) => {
                 if msg != "help" {
@@ -268,7 +267,7 @@ const USAGE: &str =
                     [--ckpt-dir DIR] [--ffwd N] [--ckpt-every N] [--simpoint I,K]
   --jobs N        worker threads for the experiment grid (default: all cores)
   --seed S        root seed for per-cell seeds (decimal or 0x-hex)
-  --scale         workload input scale (default: MSSR_SCALE env, then medium)
+  --scale         workload input scale (default: medium)
   --json          emit the JSON-lines trajectory instead of reports
   --trace         with --json: emit per-cell pipeline event records
   --sample N      with --json: emit per-cell statistics deltas every N cycles

@@ -21,6 +21,8 @@
 
 use std::fmt;
 
+use mssr_sim::Sample;
+
 // ---------------------------------------------------------------------
 // A minimal JSON reader for the trajectory subset: objects, arrays,
 // strings, unsigned integers, booleans, null. Counters are exact u64s —
@@ -270,21 +272,6 @@ impl Parser<'_> {
 // Trajectory model
 // ---------------------------------------------------------------------
 
-/// One `--sample` record of a cell: per-interval statistics deltas
-/// (`cycle` is the absolute sample point; the other fields are deltas
-/// since the previous sample).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SamplePoint {
-    /// Cycle at which the sample was taken.
-    pub cycle: u64,
-    /// Instructions committed during the interval.
-    pub insts: u64,
-    /// Reuse grants during the interval.
-    pub grants: u64,
-    /// Branch-squash commit slots accrued during the interval.
-    pub squash_slots: u64,
-}
-
 /// One cell of a trajectory: a (workload × engine) run with the
 /// counters the report needs, the CPI account, and any sample series.
 #[derive(Clone, Debug, Default)]
@@ -326,7 +313,7 @@ pub struct CellRecord {
     /// straight-through runs).
     pub skipped_cycles: u64,
     /// `--sample` time series (empty without `--sample`).
-    pub samples: Vec<SamplePoint>,
+    pub samples: Vec<Sample>,
     /// `--simpoint` sampling record (plan + per-representative
     /// measurements); `None` for whole-program runs.
     pub simpoint: Option<SimpointRecord>,
@@ -570,12 +557,11 @@ impl Trajectory {
         // Events follow their cell record, so the match is normally the
         // last cell; search anyway so reordered input still parses.
         if let Some(c) = t.cells.iter_mut().rev().find(|c| c.id == cell) {
-            c.samples.push(SamplePoint {
-                cycle: ev.field_u64("cycle"),
-                insts: ev.field_u64("insts"),
-                grants: ev.field_u64("grants"),
-                squash_slots: ev.field_u64("squash_slots"),
-            });
+            let mut s = Sample { cycle: ev.field_u64("cycle"), ..Sample::default() };
+            for (k, v) in s.counters_mut() {
+                *v = ev.field_u64(k);
+            }
+            c.samples.push(s);
         }
     }
 }

@@ -21,13 +21,11 @@
 //! | `run_all` | everything above as one parallel grid invocation |
 //!
 //! Every binary accepts the shared harness flags (`--jobs`, `--seed`,
-//! `--scale`, `--json`); scale can also come from `MSSR_SCALE` (`test` /
-//! `medium` / `large`, default `medium`).
+//! `--scale test|medium|large`, default `medium`; `--json`).
 
 pub mod harness;
 
 use mssr_sim::{SimConfig, SimStats};
-use mssr_workloads::Scale;
 
 /// The simulator configuration used by all experiments: the paper's
 /// Table 3 baseline, with one documented calibration — 10-bit RGIDs
@@ -45,16 +43,6 @@ pub fn experiment_sim_config() -> SimConfig {
     SimConfig { rgid_bits: 10, ..SimConfig::default() }
         .with_max_cycles(400_000_000)
         .with_max_insts(30_000_000)
-}
-
-/// Reads the experiment scale from `MSSR_SCALE`.
-pub fn scale_from_env(default: Scale) -> Scale {
-    match std::env::var("MSSR_SCALE").as_deref() {
-        Ok("test") => Scale::Test,
-        Ok("medium") => Scale::Medium,
-        Ok("large") => Scale::Large,
-        _ => default,
-    }
 }
 
 /// An engine configuration under evaluation.
@@ -178,11 +166,5 @@ mod tests {
     fn csv_rendering() {
         let c = render_csv(&["A", "B"], &[vec!["1".into(), "2".into()]]);
         assert_eq!(c, "A,B\n1,2\n");
-    }
-
-    #[test]
-    fn scale_env_parsing() {
-        // No env manipulation (tests run in parallel); just default path.
-        assert_eq!(scale_from_env(Scale::Test), Scale::Test);
     }
 }

@@ -505,7 +505,7 @@ impl ReuseEngine for MultiStreamReuse {
 
     fn stats(&self) -> EngineStats {
         let mut s = self.stats.clone();
-        s.extra.push(("valid_streams".to_string(), self.valid_streams() as u64));
+        s.set_gauge("valid_streams", self.valid_streams() as u64);
         s
     }
 

@@ -384,7 +384,7 @@ impl ReuseEngine for RegisterIntegration {
 
     fn stats(&self) -> EngineStats {
         let mut s = self.stats.clone();
-        s.extra.push(("ri_occupancy".to_string(), self.occupancy() as u64));
+        s.set_gauge("ri_occupancy", self.occupancy() as u64);
         s.set_replacements = self.replacements.clone();
         s
     }
@@ -649,7 +649,7 @@ mod tests {
 
         fn stats(&self) -> EngineStats {
             let mut s = self.stats.clone();
-            s.extra.push(("ri_occupancy".to_string(), self.occupancy() as u64));
+            s.set_gauge("ri_occupancy", self.occupancy() as u64);
             s
         }
 

@@ -156,21 +156,38 @@ impl CycleAccount {
         self.slots[c.index()]
     }
 
+    /// The account's counters as `(name, value)`: one slot per
+    /// category in [`Category::ALL`] order, then the two credits. This is
+    /// the account's JSON key order, checkpoint byte order and merge
+    /// order.
+    pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> {
+        Category::ALL.iter().map(|c| c.name()).zip(self.slots).chain([
+            ("credit_reuse_cycles", self.credit_reuse_cycles),
+            ("credit_recon_fetches", self.credit_recon_fetches),
+        ])
+    }
+
+    /// The walk of [`CycleAccount::counters`] as `(name, &mut value)`.
+    pub fn counters_mut(&mut self) -> impl Iterator<Item = (&'static str, &mut u64)> + '_ {
+        Category::ALL.iter().map(|c| c.name()).zip(self.slots.iter_mut()).chain([
+            ("credit_reuse_cycles", &mut self.credit_reuse_cycles),
+            ("credit_recon_fetches", &mut self.credit_recon_fetches),
+        ])
+    }
+
+    /// Counter-wise `self = f(self, other)` (see
+    /// [`SimStats::merge`](crate::SimStats::merge)).
+    pub fn merge(&mut self, other: &CycleAccount, f: fn(u64, u64) -> u64) {
+        crate::stats::fold(self.counters_mut(), other.counters(), f);
+    }
+
     /// The account as a JSON object (stable key order, integers only —
     /// byte-identical across runs and platforms). Nested under
     /// `"account"` in [`SimStats::to_json`](crate::SimStats::to_json).
     pub fn to_json(&self) -> String {
         let mut out = String::from("{");
-        for c in Category::ALL {
-            if out.len() > 1 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\":{}", c.name(), self.slots[c.index()]));
-        }
-        out.push_str(&format!(
-            ",\"credit_reuse_cycles\":{},\"credit_recon_fetches\":{}}}",
-            self.credit_reuse_cycles, self.credit_recon_fetches
-        ));
+        crate::stats::json_members(&mut out, self.counters());
+        out.push('}');
         out
     }
 }

@@ -422,6 +422,7 @@ pub(crate) mod machine {
     use crate::config::SimConfig;
     use crate::engine::ReuseEngine;
     use crate::lsq::{LqEntry, Lsq, SqEntry};
+    use crate::pipeline::Simulator;
     use crate::rob::{BranchOutcome, BranchState, DstInfo, Rob, RobEntry};
     use crate::sample::Sampler;
     use crate::stage::{FrontInst, MachineState, PendingFlush};
@@ -509,33 +510,14 @@ pub(crate) mod machine {
         // Cumulative statistics. Cache counters live in the hierarchy
         // section and engine counters in the engine blob; `stats()`
         // recomposes them, so only the pipeline-owned counters go here.
-        for v in [
-            st.stats.committed_instructions,
-            st.stats.committed_branches,
-            st.stats.committed_cond_branches,
-            st.stats.mispredictions,
-            st.stats.renamed_instructions,
-            st.stats.squashed_instructions,
-            st.stats.flushes_branch,
-            st.stats.flushes_mem_order,
-            st.stats.flushes_reuse_verify,
-            st.stats.committed_loads,
-            st.stats.committed_stores,
-            st.stats.store_forwards,
-            st.stats.store_forward_stalls,
-            st.stats.snoops,
-            st.stats.ffwd_insts,
-            st.stats.skipped_cycles,
-        ] {
+        for (k, v) in st.stats.counters() {
+            if !Simulator::RECOMPOSED.contains(&k) {
+                w.u64(v);
+            }
+        }
+        for (_, v) in st.account.counters() {
             w.u64(v);
         }
-
-        // CPI-stack account.
-        for s in st.account.slots {
-            w.u64(s);
-        }
-        w.u64(st.account.credit_reuse_cycles);
-        w.u64(st.account.credit_recon_fetches);
     }
 
     fn load_control(st: &mut MachineState, r: &mut CkptReader) -> Result<(), CkptError> {
@@ -552,28 +534,14 @@ pub(crate) mod machine {
         st.refill_blame =
             if r.bool()? { Some((flush_kind_from(r.u8()?)?, r.seq()?)) } else { None };
 
-        st.stats.committed_instructions = r.u64()?;
-        st.stats.committed_branches = r.u64()?;
-        st.stats.committed_cond_branches = r.u64()?;
-        st.stats.mispredictions = r.u64()?;
-        st.stats.renamed_instructions = r.u64()?;
-        st.stats.squashed_instructions = r.u64()?;
-        st.stats.flushes_branch = r.u64()?;
-        st.stats.flushes_mem_order = r.u64()?;
-        st.stats.flushes_reuse_verify = r.u64()?;
-        st.stats.committed_loads = r.u64()?;
-        st.stats.committed_stores = r.u64()?;
-        st.stats.store_forwards = r.u64()?;
-        st.stats.store_forward_stalls = r.u64()?;
-        st.stats.snoops = r.u64()?;
-        st.stats.ffwd_insts = r.u64()?;
-        st.stats.skipped_cycles = r.u64()?;
-
-        for s in &mut st.account.slots {
-            *s = r.u64()?;
+        for (k, v) in st.stats.counters_mut() {
+            if !Simulator::RECOMPOSED.contains(&k) {
+                *v = r.u64()?;
+            }
         }
-        st.account.credit_reuse_cycles = r.u64()?;
-        st.account.credit_recon_fetches = r.u64()?;
+        for (_, v) in st.account.counters_mut() {
+            *v = r.u64()?;
+        }
         Ok(())
     }
 
@@ -990,6 +958,57 @@ pub(crate) mod machine {
             insts: st.stats.committed_instructions,
         });
         Ok(())
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+        use crate::SimStats;
+
+        #[test]
+        fn distinct_control_block_bytes_are_pinned() {
+            let machine = || {
+                let mut a = mssr_isa::Assembler::new();
+                a.halt();
+                MachineState::new(SimConfig::default(), a.assemble().unwrap())
+            };
+            let mut st = machine();
+            // The machine keeps its account beside `stats`, whose engine
+            // and account members stay default (see `Simulator::stats`).
+            let rec = crate::stats::distinct_record();
+            st.account = rec.account;
+            st.stats = SimStats { engine: Default::default(), account: Default::default(), ..rec };
+            let mut w = CkptWriter::new();
+            save_control(&st, &mut w);
+            let bytes = w.finish();
+
+            let mut want = CkptWriter::new();
+            for v in [0, 1, 0] {
+                want.u64(v); // cycle, next_seq, squash_ctr
+            }
+            want.bool(false);
+            want.opt_pc(Some(Pc::new(0x1000)));
+            want.u64(0);
+            want.bool(false);
+            for v in [0, 0, 0] {
+                want.u64(v); // RGID totals, grants_total
+            }
+            want.bool(false); // no refill blame
+                              // The pipeline-owned counters: all but `cycles` and the four
+                              // cache counters, which `Simulator::stats` recomposes.
+            for v in (102..=114).chain(119..=121).chain(401..=409) {
+                want.u64(v);
+            }
+            assert_eq!(bytes, want.finish());
+
+            let mut back = machine();
+            load_control(&mut back, &mut CkptReader::new(&bytes)).unwrap();
+            let mut expect = st.stats.clone();
+            expect.cycles = 0;
+            (expect.l1_hits, expect.l1_misses, expect.l2_hits, expect.l2_misses) = (0, 0, 0, 0);
+            assert_eq!(back.stats.to_json(), expect.to_json());
+            assert_eq!(back.account, st.account);
+        }
     }
 }
 

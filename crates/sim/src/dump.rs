@@ -52,7 +52,7 @@ impl Simulator {
             "rob: {rob_len}/{rob_cap}  head {}",
             head.unwrap_or_else(|| "-".to_string())
         );
-        let _ = writeln!(out, "free registers: {}", self.free_regs());
+        let _ = writeln!(out, "free registers: {}", self.free_phys_regs());
         let _ = writeln!(out, "rat (non-identity mappings):");
         for a in ArchReg::all() {
             let (p, g) = self.rat_entry(a);

@@ -188,10 +188,6 @@ impl Simulator {
         self.st.free_list.available()
     }
 
-    pub(crate) fn free_regs(&self) -> usize {
-        self.st.free_list.available()
-    }
-
     /// The committed architectural value of register `a` (read through
     /// the RAT into the physical register file). Meaningful once the
     /// pipeline has drained (e.g. after `run()` halts); used by the
@@ -265,6 +261,12 @@ impl Simulator {
         }
     }
 
+    /// The [`SimStats`] counters [`Simulator::stats`] recomposes from the
+    /// cycle counter and the cache hierarchy; the pipeline's own copies
+    /// stay zero, and the machine checkpoint skips them.
+    pub(crate) const RECOMPOSED: [&'static str; 5] =
+        ["cycles", "l1_hits", "l1_misses", "l2_hits", "l2_misses"];
+
     /// A statistics snapshot (cheap; can be taken mid-run).
     pub fn stats(&self) -> SimStats {
         let mut s = self.st.stats.clone();
@@ -281,7 +283,7 @@ impl Simulator {
         s.engine.rgid_resets = self.st.rgid_resets_total;
         if self.tracer.active() {
             for k in TraceKind::ALL {
-                s.engine.extra.push((format!("trace_{}", k.name()), self.tracer.count(k)));
+                *s.engine.extra_mut(&format!("trace_{}", k.name())) = self.tracer.count(k);
             }
         }
         s

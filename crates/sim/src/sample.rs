@@ -14,86 +14,67 @@
 use std::collections::VecDeque;
 
 use crate::ckpt::{CkptError, CkptReader, CkptWriter};
+use crate::stats::{fold, json_members, stats_record};
 
-/// One sampling interval's worth of statistics deltas.
-///
-/// All fields are deltas over the interval except `cycle`, which is the
-/// cycle count at the moment the sample was taken (so consumers can
-/// reconstruct interval boundaries even when sampling started mid-run).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Sample {
-    /// Cycle the sample was taken at (end of the interval).
-    pub cycle: u64,
-    /// Instructions committed during the interval.
-    pub insts: u64,
-    /// Branch mispredictions during the interval.
-    pub mispredicts: u64,
-    /// Instructions squashed during the interval.
-    pub squashed: u64,
-    /// Reuse grants during the interval.
-    pub grants: u64,
-    /// L1 data-cache misses during the interval.
-    pub l1_misses: u64,
-    /// Commit slots lost to branch-squash refill during the interval
-    /// (the [`Category::SquashBranch`](crate::Category) account slots).
-    pub squash_slots: u64,
+stats_record! {
+    /// One sampling interval's worth of statistics deltas.
+    ///
+    /// All fields are deltas over the interval except `cycle`, which is the
+    /// cycle count at the moment the sample was taken (so consumers can
+    /// reconstruct interval boundaries even when sampling started mid-run).
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct Sample {
+        /// Cycle the sample was taken at (end of the interval).
+        pub cycle: u64,
+        counters {
+            /// Instructions committed during the interval.
+            insts,
+            /// Branch mispredictions during the interval.
+            mispredicts,
+            /// Instructions squashed during the interval.
+            squashed,
+            /// Reuse grants during the interval.
+            grants,
+            /// L1 data-cache misses during the interval.
+            l1_misses,
+            /// Commit slots lost to branch-squash refill during the interval
+            /// (the [`Category::SquashBranch`](crate::Category) account slots).
+            squash_slots,
+        }
+    }
 }
 
 impl Sample {
     /// The sample as one JSON object in the trace-event schema (stable
     /// key order, integers only).
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"ev\":\"sample\",\"cycle\":{},\"insts\":{},\"mispredicts\":{},\"squashed\":{},\
-             \"grants\":{},\"l1_misses\":{},\"squash_slots\":{}}}",
-            self.cycle,
-            self.insts,
-            self.mispredicts,
-            self.squashed,
-            self.grants,
-            self.l1_misses,
-            self.squash_slots
-        )
+        let mut out = format!("{{\"ev\":\"sample\",\"cycle\":{}", self.cycle);
+        json_members(&mut out, self.counters());
+        out.push('}');
+        out
     }
 
     pub(crate) fn ckpt_save(&self, w: &mut CkptWriter) {
-        for v in [
-            self.cycle,
-            self.insts,
-            self.mispredicts,
-            self.squashed,
-            self.grants,
-            self.l1_misses,
-            self.squash_slots,
-        ] {
+        w.u64(self.cycle);
+        for (_, v) in self.counters() {
             w.u64(v);
         }
     }
 
     pub(crate) fn ckpt_load(r: &mut CkptReader) -> Result<Sample, CkptError> {
-        Ok(Sample {
-            cycle: r.u64()?,
-            insts: r.u64()?,
-            mispredicts: r.u64()?,
-            squashed: r.u64()?,
-            grants: r.u64()?,
-            l1_misses: r.u64()?,
-            squash_slots: r.u64()?,
-        })
+        let mut s = Sample { cycle: r.u64()?, ..Sample::default() };
+        for (_, v) in s.counters_mut() {
+            *v = r.u64()?;
+        }
+        Ok(s)
     }
 
-    /// Element-wise difference `self - prev` (cumulative snapshots in,
+    /// Counter-wise difference `self - prev` (cumulative snapshots in,
     /// interval delta out); `cycle` keeps `self`'s value.
     fn delta_from(&self, prev: &Sample) -> Sample {
-        Sample {
-            cycle: self.cycle,
-            insts: self.insts - prev.insts,
-            mispredicts: self.mispredicts - prev.mispredicts,
-            squashed: self.squashed - prev.squashed,
-            grants: self.grants - prev.grants,
-            l1_misses: self.l1_misses - prev.l1_misses,
-            squash_slots: self.squash_slots - prev.squash_slots,
-        }
+        let mut d = *self;
+        fold(d.counters_mut(), prev.counters(), |a, b| a - b);
+        d
     }
 }
 
@@ -234,6 +215,31 @@ mod tests {
             "{\"ev\":\"sample\",\"cycle\":2000,\"insts\":900,\"mispredicts\":3,\"squashed\":40,\
              \"grants\":12,\"l1_misses\":5,\"squash_slots\":64}"
         );
+    }
+
+    #[test]
+    fn distinct_sample_ckpt_bytes_are_pinned() {
+        // The cumulative sample `take_sample` builds from
+        // `stats::distinct_record` (`grants` is the engine's grant count,
+        // `squash_slots` the squash-branch account slot).
+        let s = Sample {
+            cycle: 101,
+            insts: 102,
+            mispredicts: 105,
+            squashed: 107,
+            grants: 202,
+            l1_misses: 116,
+            squash_slots: 403,
+        };
+        let mut w = CkptWriter::new();
+        s.ckpt_save(&mut w);
+        let bytes = w.finish();
+        let mut want = CkptWriter::new();
+        for v in [101, 102, 105, 107, 202, 116, 403] {
+            want.u64(v);
+        }
+        assert_eq!(bytes, want.finish());
+        assert_eq!(Sample::ckpt_load(&mut CkptReader::new(&bytes)).unwrap(), s);
     }
 
     #[test]

@@ -1,91 +1,159 @@
 //! Simulation statistics.
+//!
+//! Each record declares its `u64` counters once, through
+//! `stats_record!`; its JSON writer, checkpoint codec and merge walk
+//! that declaration in order. Adding a counter is one line in a record's
+//! `counters` block.
+
+use std::fmt::Write as _;
 
 use crate::account::CycleAccount;
 use crate::ckpt::{CkptError, CkptReader, CkptWriter};
 
-/// Counters maintained by a reuse engine.
+/// Declares a statistics record whose `u64` counters are listed once.
 ///
-/// The same struct serves all engines; counters an engine does not use
-/// stay zero, engine-specific named counters go into
-/// [`EngineStats::extra`], and Register Integration's per-set
-/// replacement counts into [`EngineStats::set_replacements`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct EngineStats {
-    /// Reuse tests performed at rename.
-    pub reuse_tests: u64,
-    /// Successful grants (instructions whose execution was skipped).
-    pub reuse_grants: u64,
-    /// Of the grants, how many were loads.
-    pub reused_loads: u64,
-    /// Tests failed on an RGID (or physical-name) mismatch.
-    pub reuse_fail_stale: u64,
-    /// Tests failed because the squashed instruction never executed.
-    pub reuse_fail_not_executed: u64,
-    /// Load reuses rejected by the memory-hazard filter.
-    pub reuse_fail_mem: u64,
-    /// Reconvergence points detected.
-    pub reconvergences: u64,
-    /// …onto the stream of the branch that redirected the current fetch.
-    pub recon_simple: u64,
-    /// …onto the stream of an **elder** branch (software-induced
-    /// multi-stream reconvergence).
-    pub recon_software: u64,
-    /// …onto the stream of a **younger** branch (hardware-induced, from
-    /// out-of-order branch resolution).
-    pub recon_hardware: u64,
-    /// Histogram of reconvergence stream distance; index `i` counts
-    /// distance `i + 1`, with the last bucket absorbing the tail.
-    pub stream_distance: [u64; 8],
-    /// Reuse sequences terminated because the fetch stream diverged from
-    /// the squashed stream.
-    pub divergences: u64,
-    /// Streams invalidated by the reconvergence timeout.
-    pub timeouts: u64,
-    /// RGID allocation overflows observed.
-    pub rgid_overflows: u64,
-    /// Global RGID resets performed.
-    pub rgid_resets: u64,
-    /// Squashed streams captured into Wrong-Path Buffers.
-    pub streams_captured: u64,
-    /// Squash Log entries written.
-    pub entries_logged: u64,
-    /// Streams dropped to relieve physical-register pressure.
-    pub pressure_reclaims: u64,
-    /// Reuse-table replacements (Register Integration).
-    pub table_replacements: u64,
-    /// Engine-specific named counters.
-    pub extra: Vec<(String, u64)>,
-    /// Reuse-table replacements per set (Register Integration; empty for
-    /// other engines). Figure 3's data. Neither [`EngineStats::to_json`]
-    /// nor the checkpoint record carries it: the harness emits it in the
-    /// cell line, and the engine checkpoints its own copy.
-    pub set_replacements: Vec<u64>,
+/// Emits the struct — the leading fields, one `pub u64` field per
+/// entry of the `counters` block, then the trailing fields — and two
+/// walks over the counters in declaration order: `counters()` yields
+/// `(name, value)` and `counters_mut()` yields `(name, &mut value)`.
+/// That order is the record's JSON key order, checkpoint byte order and
+/// merge order.
+macro_rules! stats_record {
+    (
+        $(#[$attr:meta])*
+        pub struct $name:ident {
+            $( $(#[$lead_doc:meta])* pub $lead:ident: $lead_ty:ty, )*
+            counters {
+                $( $(#[$doc:meta])* $counter:ident, )*
+            }
+            $( $(#[$trail_doc:meta])* pub $trail:ident: $trail_ty:ty, )*
+        }
+    ) => {
+        $(#[$attr])*
+        pub struct $name {
+            $( $(#[$lead_doc])* pub $lead: $lead_ty, )*
+            $( $(#[$doc])* pub $counter: u64, )*
+            $( $(#[$trail_doc])* pub $trail: $trail_ty, )*
+        }
+
+        impl $name {
+            /// Number of counters in the record's `counters` block.
+            pub const COUNTERS: usize = [$(stringify!($counter)),*].len();
+
+            /// The counters as `(name, value)`, in declaration order.
+            pub fn counters(&self) -> [(&'static str, u64); Self::COUNTERS] {
+                [$((stringify!($counter), self.$counter)),*]
+            }
+
+            /// The counters as `(name, &mut value)`, in declaration order.
+            pub fn counters_mut(&mut self) -> [(&'static str, &mut u64); Self::COUNTERS] {
+                [$((stringify!($counter), &mut self.$counter)),*]
+            }
+        }
+    };
+}
+pub(crate) use stats_record;
+
+/// `a = f(a, b)` pairwise over two walks of the same record.
+pub(crate) fn fold<'a>(
+    a: impl IntoIterator<Item = (&'static str, &'a mut u64)>,
+    b: impl IntoIterator<Item = (&'static str, u64)>,
+    f: fn(u64, u64) -> u64,
+) {
+    for ((_, a), (_, b)) in a.into_iter().zip(b) {
+        *a = f(*a, b);
+    }
+}
+
+/// Appends `"name":value` members to a JSON object under construction,
+/// comma-separated from whatever the object already holds.
+pub(crate) fn json_members(
+    out: &mut String,
+    members: impl IntoIterator<Item = (&'static str, u64)>,
+) {
+    for (k, v) in members {
+        if !out.ends_with('{') {
+            out.push(',');
+        }
+        let _ = write!(out, "\"{k}\":{v}");
+    }
+}
+
+stats_record! {
+    /// Counters maintained by a reuse engine.
+    ///
+    /// The same struct serves all engines; counters an engine does not use
+    /// stay zero, engine-specific named counters and gauges go into
+    /// [`EngineStats::extra`], and Register Integration's per-set
+    /// replacement counts into [`EngineStats::set_replacements`].
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    pub struct EngineStats {
+        counters {
+            /// Reuse tests performed at rename.
+            reuse_tests,
+            /// Successful grants (instructions whose execution was skipped).
+            reuse_grants,
+            /// Of the grants, how many were loads.
+            reused_loads,
+            /// Tests failed on an RGID (or physical-name) mismatch.
+            reuse_fail_stale,
+            /// Tests failed because the squashed instruction never executed.
+            reuse_fail_not_executed,
+            /// Load reuses rejected by the memory-hazard filter.
+            reuse_fail_mem,
+            /// Reconvergence points detected.
+            reconvergences,
+            /// …onto the stream of the branch that redirected the current fetch.
+            recon_simple,
+            /// …onto the stream of an **elder** branch (software-induced
+            /// multi-stream reconvergence).
+            recon_software,
+            /// …onto the stream of a **younger** branch (hardware-induced, from
+            /// out-of-order branch resolution).
+            recon_hardware,
+            /// Reuse sequences terminated because the fetch stream diverged from
+            /// the squashed stream.
+            divergences,
+            /// Streams invalidated by the reconvergence timeout.
+            timeouts,
+            /// RGID allocation overflows observed.
+            rgid_overflows,
+            /// Global RGID resets performed.
+            rgid_resets,
+            /// Squashed streams captured into Wrong-Path Buffers.
+            streams_captured,
+            /// Squash Log entries written.
+            entries_logged,
+            /// Streams dropped to relieve physical-register pressure.
+            pressure_reclaims,
+            /// Reuse-table replacements (Register Integration).
+            table_replacements,
+        }
+        /// Histogram of reconvergence stream distance; index `i` counts
+        /// distance `i + 1`, with the last bucket absorbing the tail.
+        pub stream_distance: [u64; 8],
+        /// Engine-specific named values: counters created through
+        /// [`EngineStats::extra_mut`] and gauges set through
+        /// [`EngineStats::set_gauge`].
+        pub extra: Vec<(String, u64)>,
+        /// Reuse-table replacements per set (Register Integration; empty for
+        /// other engines). Figure 3's data. Neither [`EngineStats::to_json`]
+        /// nor the checkpoint record carries it: the harness emits it in the
+        /// cell line, and the engine checkpoints its own copy.
+        pub set_replacements: Vec<u64>,
+        /// The [`EngineStats::extra`] keys that are gauges. Engines set
+        /// gauges in `stats()` and never checkpoint them, so neither the
+        /// JSON nor the checkpoint record carries this list.
+        pub gauges: Vec<&'static str>,
+    }
 }
 
 impl EngineStats {
     /// Serializes the counters into a checkpoint stream (fixed counters
-    /// in declaration order, then the named `extra` pairs).
+    /// in declaration order, the distance histogram, then the named
+    /// `extra` pairs).
     pub fn ckpt_save(&self, w: &mut CkptWriter) {
-        for v in [
-            self.reuse_tests,
-            self.reuse_grants,
-            self.reused_loads,
-            self.reuse_fail_stale,
-            self.reuse_fail_not_executed,
-            self.reuse_fail_mem,
-            self.reconvergences,
-            self.recon_simple,
-            self.recon_software,
-            self.recon_hardware,
-            self.divergences,
-            self.timeouts,
-            self.rgid_overflows,
-            self.rgid_resets,
-            self.streams_captured,
-            self.entries_logged,
-            self.pressure_reclaims,
-            self.table_replacements,
-        ] {
+        for (_, v) in self.counters() {
             w.u64(v);
         }
         for d in self.stream_distance {
@@ -100,27 +168,10 @@ impl EngineStats {
 
     /// Deserializes counters written by [`EngineStats::ckpt_save`].
     pub fn ckpt_load(r: &mut CkptReader) -> Result<EngineStats, CkptError> {
-        let mut s = EngineStats {
-            reuse_tests: r.u64()?,
-            reuse_grants: r.u64()?,
-            reused_loads: r.u64()?,
-            reuse_fail_stale: r.u64()?,
-            reuse_fail_not_executed: r.u64()?,
-            reuse_fail_mem: r.u64()?,
-            reconvergences: r.u64()?,
-            recon_simple: r.u64()?,
-            recon_software: r.u64()?,
-            recon_hardware: r.u64()?,
-            ..EngineStats::default()
-        };
-        s.divergences = r.u64()?;
-        s.timeouts = r.u64()?;
-        s.rgid_overflows = r.u64()?;
-        s.rgid_resets = r.u64()?;
-        s.streams_captured = r.u64()?;
-        s.entries_logged = r.u64()?;
-        s.pressure_reclaims = r.u64()?;
-        s.table_replacements = r.u64()?;
+        let mut s = EngineStats::default();
+        for (_, v) in s.counters_mut() {
+            *v = r.u64()?;
+        }
         for d in &mut s.stream_distance {
             *d = r.u64()?;
         }
@@ -146,40 +197,54 @@ impl EngineStats {
         &mut self.extra[i].1
     }
 
+    /// Sets the gauge `key` in [`EngineStats::extra`]: a level sampled
+    /// when the record is taken (table occupancy, live streams), which
+    /// [`EngineStats::merge`] never folds.
+    pub fn set_gauge(&mut self, key: &'static str, value: u64) {
+        *self.extra_mut(key) = value;
+        if !self.is_gauge(key) {
+            self.gauges.push(key);
+        }
+    }
+
+    fn is_gauge(&self, key: &str) -> bool {
+        self.gauges.contains(&key)
+    }
+
     /// Records a reconvergence stream distance into the histogram.
     pub fn record_distance(&mut self, distance: u64) {
         let idx = (distance.max(1) - 1).min(self.stream_distance.len() as u64 - 1) as usize;
         self.stream_distance[idx] += 1;
     }
 
+    /// Counter-wise `self = f(self, other)`: the counters, the distance
+    /// histogram, the per-set replacements and every `extra` counter.
+    /// A gauge keeps `self`'s value (and is not created when `self` has
+    /// none): levels do not add up or subtract.
+    pub fn merge(&mut self, other: &EngineStats, f: fn(u64, u64) -> u64) {
+        fold(self.counters_mut(), other.counters(), f);
+        for (a, &b) in self.stream_distance.iter_mut().zip(&other.stream_distance) {
+            *a = f(*a, b);
+        }
+        if self.set_replacements.len() < other.set_replacements.len() {
+            self.set_replacements.resize(other.set_replacements.len(), 0);
+        }
+        for (a, &b) in self.set_replacements.iter_mut().zip(&other.set_replacements) {
+            *a = f(*a, b);
+        }
+        for (k, v) in &other.extra {
+            if !self.is_gauge(k) && !other.is_gauge(k) {
+                let a = self.extra_mut(k);
+                *a = f(*a, *v);
+            }
+        }
+    }
+
     /// The engine counters as a JSON object (stable key order, integers
     /// only — bit-identical across runs and platforms).
     pub fn to_json(&self) -> String {
         let mut out = String::from("{");
-        let mut field = |k: &str, v: u64| {
-            if out.len() > 1 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{k}\":{v}"));
-        };
-        field("reuse_tests", self.reuse_tests);
-        field("reuse_grants", self.reuse_grants);
-        field("reused_loads", self.reused_loads);
-        field("reuse_fail_stale", self.reuse_fail_stale);
-        field("reuse_fail_not_executed", self.reuse_fail_not_executed);
-        field("reuse_fail_mem", self.reuse_fail_mem);
-        field("reconvergences", self.reconvergences);
-        field("recon_simple", self.recon_simple);
-        field("recon_software", self.recon_software);
-        field("recon_hardware", self.recon_hardware);
-        field("divergences", self.divergences);
-        field("timeouts", self.timeouts);
-        field("rgid_overflows", self.rgid_overflows);
-        field("rgid_resets", self.rgid_resets);
-        field("streams_captured", self.streams_captured);
-        field("entries_logged", self.entries_logged);
-        field("pressure_reclaims", self.pressure_reclaims);
-        field("table_replacements", self.table_replacements);
+        json_members(&mut out, self.counters());
         out.push_str(",\"stream_distance\":[");
         for (i, v) in self.stream_distance.iter().enumerate() {
             if i > 0 {
@@ -233,71 +298,75 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
-/// End-of-run statistics for one simulation.
-#[derive(Clone, Debug, Default)]
-pub struct SimStats {
-    /// Total simulated cycles.
-    pub cycles: u64,
-    /// Instructions retired.
-    pub committed_instructions: u64,
-    /// Control instructions retired.
-    pub committed_branches: u64,
-    /// Conditional branches retired.
-    pub committed_cond_branches: u64,
-    /// Branch mispredictions (wrong direction or target) — the
-    /// *architectural* mispredict count, and the numerator of
-    /// [`SimStats::mispredict_rate`] and [`SimStats::mpki`]. Distinct in
-    /// meaning from [`SimStats::flushes_branch`], which counts the
-    /// *pipeline flushes* recovery performed: today each misprediction
-    /// costs exactly one flush, but a recovery scheme that coalesces or
-    /// defers flushes would lower `flushes_branch` without changing this
-    /// counter, so derived prediction-accuracy metrics must use this one.
-    pub mispredictions: u64,
-    /// Instructions entered into the ROB (including squashed ones).
-    pub renamed_instructions: u64,
-    /// Instructions squashed from the ROB.
-    pub squashed_instructions: u64,
-    /// Flushes caused by branch mispredictions.
-    pub flushes_branch: u64,
-    /// Flushes caused by store-to-load ordering violations.
-    pub flushes_mem_order: u64,
-    /// Flushes caused by reused-load verification mismatches.
-    pub flushes_reuse_verify: u64,
-    /// Loads retired.
-    pub committed_loads: u64,
-    /// Stores retired.
-    pub committed_stores: u64,
-    /// Loads satisfied by store-to-load forwarding.
-    pub store_forwards: u64,
-    /// Load issues deferred because the youngest older same-block store
-    /// knew its address but not yet its data ([`Forward::Pending`]; the
-    /// load retries instead of reading stale memory).
-    ///
-    /// [`Forward::Pending`]: crate::lsq::Forward
-    pub store_forward_stalls: u64,
-    /// L1 data cache hits / misses (demand accesses).
-    pub l1_hits: u64,
-    /// L1 data cache misses.
-    pub l1_misses: u64,
-    /// L2 hits.
-    pub l2_hits: u64,
-    /// L2 misses (DRAM accesses).
-    pub l2_misses: u64,
-    /// Snoop requests injected.
-    pub snoops: u64,
-    /// Instructions executed by the functional fast-forward before the
-    /// detailed pipeline took over (`--ffwd N`). These are **not**
-    /// included in [`SimStats::committed_instructions`], so IPC remains
-    /// the detailed region's IPC.
-    pub ffwd_insts: u64,
-    /// Detailed cycles the fast-forward skipped, at a nominal 1 IPC
-    /// (i.e. equal to [`SimStats::ffwd_insts`]). Nonzero only for
-    /// fast-forwarded runs; restored runs carry the original counters.
-    pub skipped_cycles: u64,
-    /// Engine-side counters.
-    pub engine: EngineStats,
-    /// The CPI-stack cycle account (see [`crate::account`]).
-    pub account: CycleAccount,
+stats_record! {
+    /// End-of-run statistics for one simulation.
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    pub struct SimStats {
+        counters {
+            /// Total simulated cycles.
+            cycles,
+            /// Instructions retired.
+            committed_instructions,
+            /// Control instructions retired.
+            committed_branches,
+            /// Conditional branches retired.
+            committed_cond_branches,
+            /// Branch mispredictions (wrong direction or target) — the
+            /// *architectural* mispredict count, and the numerator of
+            /// [`SimStats::mispredict_rate`] and [`SimStats::mpki`]. Distinct in
+            /// meaning from [`SimStats::flushes_branch`], which counts the
+            /// *pipeline flushes* recovery performed: today each misprediction
+            /// costs exactly one flush, but a recovery scheme that coalesces or
+            /// defers flushes would lower `flushes_branch` without changing this
+            /// counter, so derived prediction-accuracy metrics must use this one.
+            mispredictions,
+            /// Instructions entered into the ROB (including squashed ones).
+            renamed_instructions,
+            /// Instructions squashed from the ROB.
+            squashed_instructions,
+            /// Flushes caused by branch mispredictions.
+            flushes_branch,
+            /// Flushes caused by store-to-load ordering violations.
+            flushes_mem_order,
+            /// Flushes caused by reused-load verification mismatches.
+            flushes_reuse_verify,
+            /// Loads retired.
+            committed_loads,
+            /// Stores retired.
+            committed_stores,
+            /// Loads satisfied by store-to-load forwarding.
+            store_forwards,
+            /// Load issues deferred because the youngest older same-block store
+            /// knew its address but not yet its data ([`Forward::Pending`]; the
+            /// load retries instead of reading stale memory).
+            ///
+            /// [`Forward::Pending`]: crate::lsq::Forward
+            store_forward_stalls,
+            /// L1 data cache hits / misses (demand accesses).
+            l1_hits,
+            /// L1 data cache misses.
+            l1_misses,
+            /// L2 hits.
+            l2_hits,
+            /// L2 misses (DRAM accesses).
+            l2_misses,
+            /// Snoop requests injected.
+            snoops,
+            /// Instructions executed by the functional fast-forward before the
+            /// detailed pipeline took over (`--ffwd N`). These are **not**
+            /// included in [`SimStats::committed_instructions`], so IPC remains
+            /// the detailed region's IPC.
+            ffwd_insts,
+            /// Detailed cycles the fast-forward skipped, at a nominal 1 IPC
+            /// (i.e. equal to [`SimStats::ffwd_insts`]). Nonzero only for
+            /// fast-forwarded runs; restored runs carry the original counters.
+            skipped_cycles,
+        }
+        /// Engine-side counters.
+        pub engine: EngineStats,
+        /// The CPI-stack cycle account (see [`crate::account`]).
+        pub account: CycleAccount,
+    }
 }
 
 impl SimStats {
@@ -372,39 +441,24 @@ impl SimStats {
     /// ```
     pub fn to_json(&self) -> String {
         let mut out = String::from("{");
-        let mut field = |k: &str, v: u64| {
-            if out.len() > 1 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{k}\":{v}"));
-        };
-        field("cycles", self.cycles);
-        field("committed_instructions", self.committed_instructions);
-        field("committed_branches", self.committed_branches);
-        field("committed_cond_branches", self.committed_cond_branches);
-        field("mispredictions", self.mispredictions);
-        field("renamed_instructions", self.renamed_instructions);
-        field("squashed_instructions", self.squashed_instructions);
-        field("flushes_branch", self.flushes_branch);
-        field("flushes_mem_order", self.flushes_mem_order);
-        field("flushes_reuse_verify", self.flushes_reuse_verify);
-        field("committed_loads", self.committed_loads);
-        field("committed_stores", self.committed_stores);
-        field("store_forwards", self.store_forwards);
-        field("store_forward_stalls", self.store_forward_stalls);
-        field("l1_hits", self.l1_hits);
-        field("l1_misses", self.l1_misses);
-        field("l2_hits", self.l2_hits);
-        field("l2_misses", self.l2_misses);
-        field("snoops", self.snoops);
-        field("ffwd_insts", self.ffwd_insts);
-        field("skipped_cycles", self.skipped_cycles);
+        json_members(&mut out, self.counters());
         out.push_str(",\"engine\":");
         out.push_str(&self.engine.to_json());
         out.push_str(",\"account\":");
         out.push_str(&self.account.to_json());
         out.push('}');
         out
+    }
+
+    /// Counter-wise `self = f(self, other)` over every counter of the
+    /// record, its engine counters ([`EngineStats::merge`]) and its
+    /// account ([`CycleAccount::merge`]). With `wrapping_add` it sums
+    /// regions into a total; with `saturating_sub` it subtracts a
+    /// snapshot taken at a region's start.
+    pub fn merge(&mut self, other: &SimStats, f: fn(u64, u64) -> u64) {
+        fold(self.counters_mut(), other.counters(), f);
+        self.engine.merge(&other.engine, f);
+        self.account.merge(&other.account, f);
     }
 
     /// A multi-line human-readable summary of the run.
@@ -507,9 +561,114 @@ impl SimStats {
     }
 }
 
+/// A record in which every counter, histogram bucket and account slot
+/// holds a distinct value: each record's values rise in declaration
+/// order (`SimStats` 101.., `EngineStats` 201.., the histogram 301..,
+/// the account 401..), so any encoding that swaps a pair shows it.
+#[cfg(test)]
+pub(crate) fn distinct_record() -> SimStats {
+    SimStats {
+        cycles: 101,
+        committed_instructions: 102,
+        committed_branches: 103,
+        committed_cond_branches: 104,
+        mispredictions: 105,
+        renamed_instructions: 106,
+        squashed_instructions: 107,
+        flushes_branch: 108,
+        flushes_mem_order: 109,
+        flushes_reuse_verify: 110,
+        committed_loads: 111,
+        committed_stores: 112,
+        store_forwards: 113,
+        store_forward_stalls: 114,
+        l1_hits: 115,
+        l1_misses: 116,
+        l2_hits: 117,
+        l2_misses: 118,
+        snoops: 119,
+        ffwd_insts: 120,
+        skipped_cycles: 121,
+        engine: EngineStats {
+            reuse_tests: 201,
+            reuse_grants: 202,
+            reused_loads: 203,
+            reuse_fail_stale: 204,
+            reuse_fail_not_executed: 205,
+            reuse_fail_mem: 206,
+            reconvergences: 207,
+            recon_simple: 208,
+            recon_software: 209,
+            recon_hardware: 210,
+            divergences: 211,
+            timeouts: 212,
+            rgid_overflows: 213,
+            rgid_resets: 214,
+            streams_captured: 215,
+            entries_logged: 216,
+            pressure_reclaims: 217,
+            table_replacements: 218,
+            stream_distance: [301, 302, 303, 304, 305, 306, 307, 308],
+            extra: vec![("wpb_hits".into(), 501), ("aligner_probes".into(), 502)],
+            set_replacements: vec![601, 602],
+            gauges: Vec::new(),
+        },
+        account: CycleAccount {
+            slots: [401, 402, 403, 404, 405, 406, 407],
+            credit_reuse_cycles: 408,
+            credit_recon_fetches: 409,
+        },
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn distinct_record_json_is_pinned() {
+        assert_eq!(
+            distinct_record().to_json(),
+            "{\"cycles\":101,\"committed_instructions\":102,\"committed_branches\":103,\
+             \"committed_cond_branches\":104,\"mispredictions\":105,\"renamed_instructions\":106,\
+             \"squashed_instructions\":107,\"flushes_branch\":108,\"flushes_mem_order\":109,\
+             \"flushes_reuse_verify\":110,\"committed_loads\":111,\"committed_stores\":112,\
+             \"store_forwards\":113,\"store_forward_stalls\":114,\"l1_hits\":115,\
+             \"l1_misses\":116,\"l2_hits\":117,\"l2_misses\":118,\"snoops\":119,\
+             \"ffwd_insts\":120,\"skipped_cycles\":121,\"engine\":{\"reuse_tests\":201,\
+             \"reuse_grants\":202,\"reused_loads\":203,\"reuse_fail_stale\":204,\
+             \"reuse_fail_not_executed\":205,\"reuse_fail_mem\":206,\"reconvergences\":207,\
+             \"recon_simple\":208,\"recon_software\":209,\"recon_hardware\":210,\
+             \"divergences\":211,\"timeouts\":212,\"rgid_overflows\":213,\"rgid_resets\":214,\
+             \"streams_captured\":215,\"entries_logged\":216,\"pressure_reclaims\":217,\
+             \"table_replacements\":218,\
+             \"stream_distance\":[301,302,303,304,305,306,307,308],\
+             \"extra\":{\"wpb_hits\":501,\"aligner_probes\":502}},\
+             \"account\":{\"base\":401,\"frontend_empty\":402,\"squash_branch\":403,\
+             \"mem_stall\":404,\"store_forward_pending\":405,\"backend_pressure\":406,\
+             \"reuse_verify\":407,\"credit_reuse_cycles\":408,\"credit_recon_fetches\":409}}"
+        );
+    }
+
+    #[test]
+    fn distinct_engine_ckpt_bytes_are_pinned() {
+        let e = distinct_record().engine;
+        let mut w = CkptWriter::new();
+        e.ckpt_save(&mut w);
+        let bytes = w.finish();
+        let mut want = CkptWriter::new();
+        for v in (201..=218).chain(301..=308) {
+            want.u64(v);
+        }
+        want.u64(2);
+        want.str("wpb_hits");
+        want.u64(501);
+        want.str("aligner_probes");
+        want.u64(502);
+        assert_eq!(bytes, want.finish());
+        let back = EngineStats::ckpt_load(&mut CkptReader::new(&bytes)).unwrap();
+        assert_eq!(back, EngineStats { set_replacements: Vec::new(), ..e });
+    }
 
     #[test]
     fn ipc_and_rates() {

@@ -13,7 +13,7 @@ use common::prop::for_each_case;
 use common::{assemble, random_body, BODY_REGS, DATA, DUMP};
 use mssr::core::{MemCheckPolicy, MssrConfig, MultiStreamReuse, RegisterIntegration, RiConfig};
 use mssr::isa::Program;
-use mssr::sim::{ReuseEngine, SimConfig, Simulator};
+use mssr::sim::{ReuseEngine, SimConfig, SimStats, Simulator};
 
 /// Runs a program and returns the architectural fingerprint: the register
 /// dump plus the data window.
@@ -333,4 +333,56 @@ fn oracle_predictor_never_mispredicts_on_random_programs() {
         assert!(stats.committed_cond_branches > 0, "program must exercise branches");
         assert_eq!(stats.mispredictions, 0, "oracle took a mispredict flush");
     });
+}
+
+/// A statistics record with every counter, histogram bucket, per-set
+/// replacement count, `extra` counter in `keys` and account slot drawn
+/// from `value`, plus one gauge.
+fn stats_record(keys: &[&str], sets: usize, mut value: impl FnMut() -> u64) -> SimStats {
+    let mut s = SimStats::default();
+    for (_, v) in s.counters_mut() {
+        *v = value();
+    }
+    for (_, v) in s.engine.counters_mut() {
+        *v = value();
+    }
+    for v in &mut s.engine.stream_distance {
+        *v = value();
+    }
+    s.engine.set_replacements = (0..sets).map(|_| value()).collect();
+    for k in keys {
+        *s.engine.extra_mut(k) = value();
+    }
+    s.engine.set_gauge("occupancy", value());
+    for (_, v) in s.account.counters_mut() {
+        *v = value();
+    }
+    s
+}
+
+#[test]
+fn stats_merge_adds_and_subtracts_back_every_counter() {
+    for_each_case("stats_merge_round_trips", 32, 0x6d73_7372_0013, |rng| {
+        let keys: Vec<&str> = ["wpb_hits", "aligner_probes", "trace_commit"]
+            .into_iter()
+            .filter(|_| rng.below(2) == 1)
+            .collect();
+        let sets = rng.range(0, 5);
+        let a = stats_record(&keys, sets, || rng.next_u64());
+        let b = stats_record(&keys, sets, || rng.next_u64());
+        let mut m = a.clone();
+        m.merge(&b, u64::wrapping_add);
+        m.merge(&b, u64::wrapping_sub);
+        assert_eq!(m, a, "add then subtract must return the record");
+    });
+
+    // Every counter of an all-ones record lands in the default record;
+    // the gauge does not (a total has no level).
+    let ones = stats_record(&["wpb_hits"], 3, || 1);
+    let mut m = SimStats::default();
+    m.merge(&ones, u64::wrapping_add);
+    let mut expect = ones.clone();
+    expect.engine.extra.retain(|(k, _)| k != "occupancy");
+    expect.engine.gauges.clear();
+    assert_eq!(m, expect, "merging into the default must set every counter");
 }
