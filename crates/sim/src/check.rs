@@ -49,6 +49,11 @@
 //!   same-block store that knows its address but not its data; such a
 //!   load must wait ([`Forward::Pending`](crate::lsq::Forward)) rather
 //!   than read stale memory.
+//! * [`Rule::IqWakeup`] — the issue queues' event-driven state agrees
+//!   with the PRF: no pending source is already ready (a lost wakeup
+//!   would leave its entry waiting forever), and every entry with no
+//!   pending source sits in its class's ready list exactly once, each
+//!   list in age order (select takes the list head as the oldest).
 //! * [`Rule::CpiConservation`] — the CPI-stack account attributes every
 //!   commit slot exactly once: `sum(categories) == cycles × commit_width`,
 //!   and the reuse credit never exceeds the squash-penalty slots it is
@@ -67,7 +72,7 @@ use crate::lsq::{LqEntry, SqEntry};
 use crate::stage::MachineState;
 #[cfg(debug_assertions)]
 use crate::stage::Scratch;
-use crate::types::{PhysReg, Rgid, SeqNum};
+use crate::types::{FuClass, PhysReg, Rgid, SeqNum};
 
 /// Which invariant a [`Violation`] breaks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -96,6 +101,9 @@ pub enum Rule {
     /// An issued load despite an older address-known/data-pending store
     /// to the same block.
     ForwardPending,
+    /// An issue-queue source pending on an already-ready register, or a
+    /// ready list that misses, repeats or misorders a ready entry.
+    IqWakeup,
     /// The CPI-stack account lost or invented commit slots
     /// (`sum(categories) != cycles × commit_width`), or its reuse credit
     /// exceeds the squash-penalty slots it is clamped against.
@@ -121,6 +129,7 @@ impl Rule {
             Rule::ReusedLoadVerify => "reused-load-verify",
             Rule::LoadIssuedAddr => "load-issued-addr",
             Rule::ForwardPending => "forward-pending",
+            Rule::IqWakeup => "iq-wakeup",
             Rule::CpiConservation => "cpi-conservation",
             Rule::BbvConservation => "bbv-conservation",
         }
@@ -340,6 +349,68 @@ pub fn check_lsq<'a>(
     None
 }
 
+/// Checks one issue queue's wakeup state. `entries` yields each entry's
+/// `(seq, class, pending sources)`; `ready` yields each ready-list
+/// element as `(class, seq)`, every class's list in stored order;
+/// `is_ready` reads the PRF. No pending source may already be ready, and
+/// every entry with no pending source must appear in its class's list
+/// exactly once, each list strictly oldest-first.
+pub fn check_iq_wakeup<P: IntoIterator<Item = PhysReg>>(
+    queue: &str,
+    entries: impl Iterator<Item = (SeqNum, FuClass, P)>,
+    ready: impl Iterator<Item = (FuClass, SeqNum)> + Clone,
+    is_ready: impl Fn(PhysReg) -> bool,
+) -> Option<Violation> {
+    let mut prev: [Option<SeqNum>; 3] = [None; 3];
+    for (fu, s) in ready.clone() {
+        let last = &mut prev[fu as usize];
+        if last.is_some_and(|p| s <= p) {
+            let p = last.expect("checked above");
+            return Some(Violation::new(
+                Rule::IqWakeup,
+                format!("{queue} {fu:?} ready list has {s} after {p} (must be oldest-first)"),
+            ));
+        }
+        *last = Some(s);
+    }
+    let mut ready_entries = 0;
+    for (seq, fu, pending) in entries {
+        let mut waits = false;
+        for p in pending {
+            if is_ready(p) {
+                return Some(Violation::new(
+                    Rule::IqWakeup,
+                    format!("{queue} entry {seq} still waits on {p}, which is ready (lost wakeup)"),
+                ));
+            }
+            waits = true;
+        }
+        if waits {
+            continue;
+        }
+        ready_entries += 1;
+        let n = ready.clone().filter(|&r| r == (fu, seq)).count();
+        if n != 1 {
+            return Some(Violation::new(
+                Rule::IqWakeup,
+                format!(
+                    "{queue} entry {seq} has no pending source but is in its ready list {n} times"
+                ),
+            ));
+        }
+    }
+    let listed = ready.count();
+    if listed != ready_entries {
+        return Some(Violation::new(
+            Rule::IqWakeup,
+            format!(
+                "{queue} ready lists hold {listed} entries, but {ready_entries} entries are ready"
+            ),
+        ));
+    }
+    None
+}
+
 /// Checks the CPI-stack conservation law: the account attributes exactly
 /// `cycles × commit_width` commit slots across its categories, and its
 /// reuse credit stays within the squash-penalty slots it is clamped to.
@@ -513,6 +584,9 @@ pub(crate) fn machine_violations_with(
     if let Some(v) = check_lsq(st.lsq.loads(), st.lsq.stores()) {
         out.push(v);
     }
+    if let Some(v) = iq_violation(st) {
+        out.push(v);
+    }
     // The account accrues immediately before the cycle counter
     // increments, so the law holds exactly at every sweep point: the
     // per-cycle sweep (after the increment) and the post-squash
@@ -521,6 +595,20 @@ pub(crate) fn machine_violations_with(
         out.push(v);
     }
     out
+}
+
+/// [`check_iq_wakeup`] over both issue queues against the PRF.
+fn iq_violation(st: &MachineState) -> Option<Violation> {
+    [("integer queue", &st.iq_int), ("memory queue", &st.iq_mem)].into_iter().find_map(
+        |(name, iq)| {
+            check_iq_wakeup(
+                name,
+                iq.entries().map(|e| (e.seq, e.fu, e.pending())),
+                iq.ready_seqs(),
+                |p| st.prf.is_ready(p),
+            )
+        },
+    )
 }
 
 /// One fused, allocation-free pass over the machine state checking the
@@ -591,6 +679,7 @@ pub(crate) fn sweep_is_clean(
     }
     fl.total_holds() == live_count + engine.reserved_hold_count()
         && check_lsq(st.lsq.loads(), st.lsq.stores()).is_none()
+        && iq_violation(st).is_none()
         && check_cpi_account(&st.account, st.cycle, st.cfg.commit_width as u64).is_none()
 }
 

@@ -427,7 +427,7 @@ pub(crate) mod machine {
     use crate::sample::Sampler;
     use crate::stage::{FrontInst, MachineState, PendingFlush};
     use crate::trace::{CkptAction, TraceEvent, Tracer};
-    use crate::types::{FlushKind, SeqNum};
+    use crate::types::{FlushKind, FuClass, SeqNum};
 
     /// Payload terminator, checked before [`CkptReader::done`] so a codec
     /// drift shows up as a missing marker rather than a trailing-bytes
@@ -742,9 +742,40 @@ pub(crate) mod machine {
         st.iq_mem.ckpt_save(w);
     }
 
+    /// Restores both queues, then refuses entries that could never issue
+    /// (runs after the ROB and PRF are restored). A `completed` entry is
+    /// fine: a reused load awaiting verification sits in `iq_mem`.
     fn load_issue(st: &mut MachineState, r: &mut CkptReader) -> Result<(), CkptError> {
         st.iq_int.ckpt_load(r)?;
         st.iq_mem.ckpt_load(r)?;
+        let mut seqs = Vec::new();
+        for (name, iq, mem) in [("integer", &st.iq_int, false), ("memory", &st.iq_mem, true)] {
+            for e in iq.entries() {
+                if (e.fu == FuClass::Lsu) != mem {
+                    return Err(CkptError::Corrupt(format!(
+                        "{:?} entry {} in the {name} issue queue",
+                        e.fu, e.seq
+                    )));
+                }
+                if st.rob.get(e.seq).is_none() {
+                    return Err(CkptError::Corrupt(format!(
+                        "issue-queue entry {} is not in the ROB",
+                        e.seq
+                    )));
+                }
+                if let Some(p) = e.pending().find(|&p| st.prf.is_ready(p)) {
+                    return Err(CkptError::Corrupt(format!(
+                        "issue-queue entry {} waits on {p}, which is already ready (lost wakeup)",
+                        e.seq
+                    )));
+                }
+                seqs.push(e.seq);
+            }
+        }
+        seqs.sort_unstable();
+        if let Some(w) = seqs.windows(2).find(|w| w[0] == w[1]) {
+            return Err(CkptError::Corrupt(format!("issue-queue entry {} appears twice", w[0])));
+        }
         Ok(())
     }
 
@@ -963,6 +994,7 @@ pub(crate) mod machine {
     #[cfg(test)]
     mod tests {
         use super::*;
+        use crate::types::PhysReg;
         use crate::SimStats;
 
         #[test]
@@ -1008,6 +1040,92 @@ pub(crate) mod machine {
             (expect.l1_hits, expect.l1_misses, expect.l2_hits, expect.l2_misses) = (0, 0, 0, 0);
             assert_eq!(back.stats.to_json(), expect.to_json());
             assert_eq!(back.account, st.account);
+        }
+
+        /// A halting program's machine with ROB entries #1..=#3 (#3 a
+        /// reused load awaiting verification) and p40 not yet produced.
+        fn iq_machine() -> MachineState {
+            let mut a = mssr_isa::Assembler::new();
+            a.halt();
+            let mut st = MachineState::new(SimConfig::default(), a.assemble().unwrap());
+            for s in 1..=3 {
+                st.rob.push(RobEntry {
+                    seq: SeqNum::new(s),
+                    pc: Pc::new(0x1000),
+                    inst: Inst::simple(mssr_isa::Opcode::Nop),
+                    dst: None,
+                    src_pregs: [None, None],
+                    src_rgids: [None, None],
+                    completed: s == 3,
+                    reused: s == 3,
+                    verify_pending: s == 3,
+                    fwd_stalled: false,
+                    pending_value: None,
+                    branch: None,
+                    mem_addr: None,
+                    ghr_before: 0,
+                    ras_sp_before: 0,
+                });
+            }
+            st.prf.clear_ready(PhysReg::new(40));
+            st
+        }
+
+        /// Restores an issue section of `(seq, FU byte, pending)` entries
+        /// per queue over [`iq_machine`].
+        fn load_iq(queues: [&[(u64, u8, &[usize])]; 2]) -> Result<(), CkptError> {
+            let mut w = CkptWriter::new();
+            for q in queues {
+                w.u64(q.len() as u64);
+                for &(seq, fu, pending) in q {
+                    w.seq(SeqNum::new(seq));
+                    w.u8(fu);
+                    w.u64(pending.len() as u64);
+                    for &p in pending {
+                        w.preg(PhysReg::new(p));
+                    }
+                }
+            }
+            let bytes = w.finish();
+            load_issue(&mut iq_machine(), &mut CkptReader::new(&bytes))
+        }
+
+        fn corrupt(r: Result<(), CkptError>) -> String {
+            match r {
+                Err(CkptError::Corrupt(detail)) => detail,
+                other => panic!("expected a Corrupt error, got {other:?}"),
+            }
+        }
+
+        #[test]
+        fn issue_section_accepts_a_completed_reused_load() {
+            load_iq([&[(1, 0, &[40]), (2, 1, &[])], &[(3, 2, &[])]]).unwrap();
+        }
+
+        #[test]
+        fn issue_entry_of_the_wrong_class_is_refused() {
+            let d = corrupt(load_iq([&[(1, 2, &[])], &[]]));
+            assert!(d.contains("Lsu entry #1 in the integer issue queue"), "{d}");
+            let d = corrupt(load_iq([&[], &[(2, 0, &[])]]));
+            assert!(d.contains("Alu entry #2 in the memory issue queue"), "{d}");
+        }
+
+        #[test]
+        fn issue_entry_missing_from_the_rob_is_refused() {
+            let d = corrupt(load_iq([&[(9, 0, &[])], &[]]));
+            assert!(d.contains("#9 is not in the ROB"), "{d}");
+        }
+
+        #[test]
+        fn issue_entry_listed_twice_is_refused() {
+            let d = corrupt(load_iq([&[(2, 0, &[40])], &[(3, 2, &[]), (2, 2, &[])]]));
+            assert!(d.contains("#2 appears twice"), "{d}");
+        }
+
+        #[test]
+        fn issue_entry_waiting_on_a_ready_register_is_refused() {
+            let d = corrupt(load_iq([&[(1, 0, &[40, 41])], &[]]));
+            assert!(d.contains("#1 waits on p41, which is already ready"), "{d}");
         }
     }
 }

@@ -82,7 +82,8 @@ pub use bpred::{
 };
 pub use check::{
     check_age_order, check_bbv, check_commit_entry, check_conservation, check_cpi_account,
-    check_lsq, check_reuse_safety, check_reuse_value, check_rgids, Rule, Violation,
+    check_iq_wakeup, check_lsq, check_reuse_safety, check_reuse_value, check_rgids, Rule,
+    Violation,
 };
 pub use ckpt::{fnv1a64, seal, CkptError, CkptReader, CkptWriter, CKPT_MAGIC, CKPT_VERSION};
 pub use config::{CacheConfig, ConfigError, SimConfig};

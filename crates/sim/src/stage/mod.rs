@@ -127,8 +127,8 @@ impl MachineState {
             rgids: RgidAlloc::new(cfg.rgid_values()),
             rgid_reset_requested: false,
             rob: Rob::new(cfg.rob_size),
-            iq_int: IssueQueue::new(cfg.iq_int_size),
-            iq_mem: IssueQueue::new(cfg.iq_mem_size),
+            iq_int: IssueQueue::new(cfg.iq_int_size, cfg.phys_regs),
+            iq_mem: IssueQueue::new(cfg.iq_mem_size, cfg.phys_regs),
             lsq: Lsq::new(cfg.lq_size, cfg.sq_size),
             completions: BinaryHeap::new(),
             pending_flushes: Vec::new(),

@@ -2,16 +2,16 @@
 //!
 //! Each test plants one specific kind of microarchitectural damage — a
 //! leaked physical-register hold, an out-of-order LSQ entry, a "reused"
-//! store — and asserts that the matching checker rule reports it. These
-//! are the negative controls for the debug-build sweep in
-//! `Simulator::step`: a checker that never fires on clean runs is only
-//! trustworthy if it demonstrably fires on dirty ones.
+//! store, a lost issue-queue wakeup — and asserts that the matching
+//! checker rule reports it. These are the negative controls for the
+//! debug-build sweep in `Simulator::step`: a checker that never fires on
+//! clean runs is only trustworthy if it demonstrably fires on dirty ones.
 
 use mssr::core::{MssrConfig, MultiStreamReuse, RiConfig};
 use mssr::sim::{
-    check_age_order, check_conservation, check_cpi_account, check_lsq, check_reuse_safety,
-    check_rgids, Category, CycleAccount, EngineCtx, LqEntry, ReuseEngine, Rgid, Rule, SeqNum,
-    SimConfig, SqEntry, SquashEvent,
+    check_age_order, check_conservation, check_cpi_account, check_iq_wakeup, check_lsq,
+    check_reuse_safety, check_rgids, Category, CycleAccount, EngineCtx, FuClass, LqEntry, PhysReg,
+    ReuseEngine, Rgid, Rule, SeqNum, SimConfig, SqEntry, SquashEvent,
 };
 use mssr::workloads::microbench;
 
@@ -139,6 +139,51 @@ fn seeded_lsq_reorder_is_detected() {
         check_age_order(Rule::LsqAgeOrder, "load queue", [3, 7, 5].map(SeqNum::new).into_iter())
             .expect("primitive must agree");
     assert_eq!(v.rule, Rule::LsqAgeOrder);
+}
+
+/// An issue-queue entry still pending on a register the PRF already
+/// holds (a lost wakeup), or a ready entry its ready list misses,
+/// repeats or misorders, trips the iq-wakeup rule.
+#[test]
+fn seeded_iq_lost_wakeup_is_detected() {
+    let s = SeqNum::new;
+    let (p5, p6) = (PhysReg::new(5), PhysReg::new(6));
+    let ready_regs = |p: PhysReg| p == p5; // p5 produced, p6 not yet
+    let entries = [
+        (s(2), FuClass::Alu, vec![p6]),
+        (s(3), FuClass::Alu, vec![]),
+        (s(4), FuClass::Lsu, vec![]),
+    ];
+    let ready = [(FuClass::Alu, s(3)), (FuClass::Lsu, s(4))];
+    let check = |entries: &[(SeqNum, FuClass, Vec<PhysReg>)], ready: &[(FuClass, SeqNum)]| {
+        check_iq_wakeup(
+            "iq",
+            entries.iter().map(|(seq, fu, p)| (*seq, *fu, p.iter().copied())),
+            ready.iter().copied(),
+            ready_regs,
+        )
+    };
+    assert!(check(&entries, &ready).is_none(), "the clean state passes");
+
+    // Entry #2 waits on p5, which writeback already produced.
+    let mut lost = entries.clone();
+    lost[0].2 = vec![p6, p5];
+    let v = check(&lost, &ready).expect("lost wakeup must be reported");
+    assert_eq!(v.rule, Rule::IqWakeup);
+    assert!(v.to_string().contains("#2 still waits on p5"), "got: {v}");
+
+    // Ready entry #3 missing from its list, listed twice, or listed
+    // behind a younger entry; and a stale element for a waiting entry.
+    let damaged: [&[(FuClass, SeqNum)]; 4] = [
+        &[(FuClass::Lsu, s(4))],
+        &[(FuClass::Alu, s(3)), (FuClass::Alu, s(3)), (FuClass::Lsu, s(4))],
+        &[(FuClass::Alu, s(3)), (FuClass::Alu, s(2)), (FuClass::Lsu, s(4))],
+        &[(FuClass::Alu, s(2)), (FuClass::Alu, s(3)), (FuClass::Lsu, s(4))],
+    ];
+    for list in damaged {
+        let v = check(&entries, list).expect("ready-list damage must be reported");
+        assert_eq!(v.rule, Rule::IqWakeup, "{list:?}");
+    }
 }
 
 /// A store marked as reused trips the store-reuse rule: stores must
