@@ -425,6 +425,7 @@ pub(crate) mod machine {
     use crate::pipeline::Simulator;
     use crate::rob::{BranchOutcome, BranchState, DstInfo, Rob, RobEntry};
     use crate::sample::Sampler;
+    use crate::stage::execute::writeback_ready;
     use crate::stage::{FrontInst, MachineState, PendingFlush};
     use crate::trace::{CkptAction, TraceEvent, Tracer};
     use crate::types::{FlushKind, FuClass, SeqNum};
@@ -817,6 +818,10 @@ pub(crate) mod machine {
         }
     }
 
+    /// Restores the LSQ, completion events and pending flushes (runs after
+    /// the ROB is restored). An event whose seq is not in the ROB is fine:
+    /// writeback drops events of squashed instructions. An event for a
+    /// live entry that writeback could not process is refused.
     fn load_execute(st: &mut MachineState, r: &mut CkptReader) -> Result<(), CkptError> {
         let nl = r.seq_len(27)?;
         let mut lsq = Lsq::new(st.cfg.lq_size, st.cfg.sq_size);
@@ -864,6 +869,12 @@ pub(crate) mod machine {
         for _ in 0..n {
             let c = r.u64()?;
             let s = r.u64()?;
+            let seq = SeqNum::new(s);
+            if st.rob.get(seq).is_some_and(|e| !writeback_ready(e)) {
+                return Err(CkptError::Corrupt(format!(
+                    "completion event at cycle {c} for {seq}, which has not executed"
+                )));
+            }
             st.completions.push(Reverse((c, s)));
         }
 
@@ -1126,6 +1137,102 @@ pub(crate) mod machine {
         fn issue_entry_waiting_on_a_ready_register_is_refused() {
             let d = corrupt(load_iq([&[(1, 0, &[40, 41])], &[]]));
             assert!(d.contains("#1 waits on p41, which is already ready"), "{d}");
+        }
+
+        /// A machine whose ROB holds one instruction of each kind a
+        /// completion event can name, none of them executed yet:
+        /// #1 `add`, #2 `beq`, #3 a reused load awaiting verification,
+        /// #4 `st`, #5 `jal x0` (a branch with no destination).
+        fn event_machine() -> MachineState {
+            use mssr_isa::Opcode;
+            let mut st = iq_machine();
+            let x = |i| ArchReg::new(i).unwrap();
+            let dst = Some(DstInfo {
+                arch: x(5),
+                new_preg: PhysReg::new(40),
+                prev_preg: PhysReg::new(5),
+                new_rgid: crate::types::Rgid::new(0),
+                prev_rgid: crate::types::Rgid::new(0),
+            });
+            let branch = Some(BranchState {
+                pred_next: Pc::new(0x1004),
+                pred_taken: false,
+                meta: PredMeta::default(),
+                resolved: None,
+            });
+            let template = st.rob.head().unwrap().clone();
+            st.rob = Rob::new(st.cfg.rob_size);
+            let kinds = [
+                (Inst::alu_rr(Opcode::Add, x(5), x(6), x(7)), dst, None, false),
+                (Inst::branch(Opcode::Beq, x(6), x(7), Pc::new(0x1000)), None, branch, false),
+                (Inst::ld(x(5), x(6), 0), dst, None, true),
+                (Inst::st(x(6), x(7), 0), None, None, false),
+                (Inst::jal(x(0), Pc::new(0x1000)), None, branch, false),
+            ];
+            for (s, (inst, dst, branch, reused)) in (1..).zip(kinds) {
+                st.rob.push(RobEntry {
+                    seq: SeqNum::new(s),
+                    inst,
+                    dst,
+                    branch,
+                    completed: reused,
+                    reused,
+                    verify_pending: reused,
+                    ..template.clone()
+                });
+            }
+            st
+        }
+
+        /// Restores an execute section holding only the completion events
+        /// `(cycle, seq)`, over `st`.
+        fn load_events(mut st: MachineState, events: &[(u64, u64)]) -> Result<(), CkptError> {
+            let mut w = CkptWriter::new();
+            w.u64(0); // load queue
+            w.u64(0); // store queue
+            w.u64(events.len() as u64);
+            for &(c, s) in events {
+                w.u64(c);
+                w.u64(s);
+            }
+            w.u64(0); // pending flushes
+            let bytes = w.finish();
+            load_execute(&mut st, &mut CkptReader::new(&bytes))
+        }
+
+        #[test]
+        fn completion_events_of_executed_or_squashed_entries_are_accepted() {
+            let mut st = event_machine();
+            for e in st.rob.iter_mut() {
+                match e.seq.value() {
+                    1 | 3 => e.pending_value = Some(7),
+                    4 => e.mem_addr = Some(0x2000),
+                    _ => {
+                        let next = Pc::new(0x1000);
+                        e.branch.as_mut().unwrap().resolved =
+                            Some(BranchOutcome { taken: true, next })
+                    }
+                }
+            }
+            load_events(st, &[(1, 1), (1, 2), (2, 3), (2, 4), (3, 5), (3, 99)]).unwrap();
+        }
+
+        #[test]
+        fn completion_event_of_an_unexecuted_branch_is_refused() {
+            let d = corrupt(load_events(event_machine(), &[(4, 2)]));
+            assert!(d.contains("cycle 4 for #2, which has not executed"), "{d}");
+        }
+
+        #[test]
+        fn completion_event_of_an_unverified_reused_load_is_refused() {
+            let d = corrupt(load_events(event_machine(), &[(4, 3)]));
+            assert!(d.contains("cycle 4 for #3, which has not executed"), "{d}");
+        }
+
+        #[test]
+        fn completion_event_of_an_unexecuted_alu_entry_is_refused() {
+            let d = corrupt(load_events(event_machine(), &[(4, 1)]));
+            assert!(d.contains("cycle 4 for #1, which has not executed"), "{d}");
         }
     }
 }

@@ -89,16 +89,38 @@ pub struct RobEntry {
 }
 
 /// The reorder buffer: an age-ordered queue of in-flight instructions.
+///
+/// Lookup by sequence number is O(1) through a position hint: `hint`,
+/// indexed by `seq & (hint.len() - 1)`, records where each entry was
+/// pushed as an absolute position (`popped` plus its index at push time).
+/// Head pops bump `popped` and tail squashes leave the remaining
+/// positions as they were, so a live entry's hint stays valid until a
+/// younger push with the same low seq bits overwrites it. A lookup accepts
+/// the hint only when that position is live and holds exactly the wanted
+/// seq; otherwise (a squashed seq, or a colliding live one) it falls back
+/// to a binary search, so the answer is always exact.
 #[derive(Debug)]
 pub struct Rob {
     entries: VecDeque<RobEntry>,
     capacity: usize,
+    /// Absolute position of the last pushed entry whose seq maps here.
+    hint: Vec<usize>,
+    /// Head pops so far: the absolute position of `entries[0]`.
+    popped: usize,
 }
 
 impl Rob {
     /// Creates an empty ROB with the given capacity.
     pub fn new(capacity: usize) -> Rob {
-        Rob { entries: VecDeque::with_capacity(capacity), capacity }
+        // Four slots per entry: live seqs collide only once squashes
+        // have stretched the live seq span past the table size.
+        let slots = (4 * capacity).next_power_of_two();
+        Rob {
+            entries: VecDeque::with_capacity(capacity),
+            capacity,
+            hint: vec![usize::MAX; slots],
+            popped: 0,
+        }
     }
 
     /// Whether another instruction can be dispatched.
@@ -126,6 +148,8 @@ impl Rob {
         if let Some(tail) = self.entries.back() {
             assert!(e.seq > tail.seq, "ROB entries must be pushed in age order");
         }
+        let slot = self.slot(e.seq);
+        self.hint[slot] = self.popped.wrapping_add(self.entries.len());
         self.entries.push_back(e);
     }
 
@@ -136,19 +160,36 @@ impl Rob {
 
     /// Pops the oldest entry (at commit).
     pub fn pop_head(&mut self) -> Option<RobEntry> {
-        self.entries.pop_front()
+        let e = self.entries.pop_front()?;
+        self.popped = self.popped.wrapping_add(1);
+        Some(e)
     }
 
-    /// Looks up an entry by sequence number (binary search; entries are
-    /// age-ordered and seq numbers are never reused).
+    fn slot(&self, seq: SeqNum) -> usize {
+        seq.value() as usize & (self.hint.len() - 1)
+    }
+
+    /// The index of `seq` in `entries`: the hinted position if it holds
+    /// exactly `seq`, else a binary search (entries are age-ordered and
+    /// seq numbers are never reused).
+    fn index_of(&self, seq: SeqNum) -> Option<usize> {
+        let idx = self.hint[self.slot(seq)].wrapping_sub(self.popped);
+        if self.entries.get(idx).is_some_and(|e| e.seq == seq) {
+            return Some(idx);
+        }
+        self.entries.binary_search_by_key(&seq, |e| e.seq).ok()
+    }
+
+    /// Looks up an entry by sequence number; O(1) unless the position
+    /// hint misses.
     pub fn get(&self, seq: SeqNum) -> Option<&RobEntry> {
-        let idx = self.entries.binary_search_by_key(&seq, |e| e.seq).ok()?;
+        let idx = self.index_of(seq)?;
         self.entries.get(idx)
     }
 
     /// Mutable lookup by sequence number.
     pub fn get_mut(&mut self, seq: SeqNum) -> Option<&mut RobEntry> {
-        let idx = self.entries.binary_search_by_key(&seq, |e| e.seq).ok()?;
+        let idx = self.index_of(seq)?;
         self.entries.get_mut(idx)
     }
 

@@ -9,6 +9,7 @@ use mssr_isa::{Opcode, Pc};
 use crate::engine::ReuseEngine;
 use crate::exec;
 use crate::lsq::Forward;
+use crate::rename::Prf;
 use crate::rob::{BranchOutcome, RobEntry};
 use crate::stage::{ectx, MachineState, PendingFlush};
 use crate::trace::{TraceEvent, Tracer};
@@ -24,7 +25,8 @@ pub(crate) fn writeback(st: &mut MachineState, tracer: &mut Tracer) {
         st.completions.pop();
         let seq = SeqNum::new(s);
         // Squashed instructions have left the ROB; drop the event.
-        let Some(e) = st.rob.get(seq) else { continue };
+        let Some(e) = st.rob.get_mut(seq) else { continue };
+        debug_assert!(writeback_ready(e), "completion event for unexecuted {seq}");
 
         // Reused-load verification completion (paper §3.8.3): compare
         // the re-executed value with the reused one.
@@ -32,7 +34,7 @@ pub(crate) fn writeback(st: &mut MachineState, tracer: &mut Tracer) {
             let fresh = e.pending_value.expect("verification executed");
             let reused = st.prf.read(e.dst.expect("loads have destinations").new_preg);
             if fresh == reused {
-                st.rob.get_mut(seq).expect("entry exists").verify_pending = false;
+                e.verify_pending = false;
             } else {
                 let pc = e.pc;
                 st.pending_flushes.push(PendingFlush {
@@ -46,7 +48,6 @@ pub(crate) fn writeback(st: &mut MachineState, tracer: &mut Tracer) {
             continue;
         }
 
-        let e = st.rob.get_mut(seq).expect("entry exists");
         if e.completed {
             continue;
         }
@@ -82,15 +83,31 @@ pub(crate) fn writeback(st: &mut MachineState, tracer: &mut Tracer) {
     }
 }
 
-fn src_vals(st: &MachineState, e: &RobEntry) -> (u64, u64) {
-    let a = e.src_pregs[0].map_or(0, |p| st.prf.read(p));
-    let b = e.src_pregs[1].map_or(0, |p| st.prf.read(p));
+/// Whether [`writeback`] can drain a completion event for the live entry
+/// `e`: every field it reads for `e` was produced at execute. A verified
+/// load needs its re-executed value; an entry already completed is
+/// skipped; otherwise a destination needs its value, a branch its
+/// outcome, and anything else (a store) its address.
+pub(crate) fn writeback_ready(e: &RobEntry) -> bool {
+    if e.reused && e.verify_pending && e.inst.is_load() {
+        return e.pending_value.is_some() && e.dst.is_some();
+    }
+    let produced = match e.branch {
+        Some(b) => b.resolved.is_some(),
+        None => e.pending_value.is_some() || e.mem_addr.is_some(),
+    };
+    e.completed || (produced && (e.dst.is_none() || e.pending_value.is_some()))
+}
+
+fn src_vals(prf: &Prf, e: &RobEntry) -> (u64, u64) {
+    let a = e.src_pregs[0].map_or(0, |p| prf.read(p));
+    let b = e.src_pregs[1].map_or(0, |p| prf.read(p));
     (a, b)
 }
 
 pub(crate) fn exec_alu(st: &mut MachineState, seq: SeqNum) {
-    let e = st.rob.get(seq).expect("issued instruction is in the ROB");
-    let (a, b) = src_vals(st, e);
+    let e = st.rob.get_mut(seq).expect("issued instruction is in the ROB");
+    let (a, b) = src_vals(&st.prf, e);
     let op = e.inst.op();
     let v = exec::alu(op, a, b, e.inst.imm()).unwrap_or(0);
     let lat = match op {
@@ -98,13 +115,13 @@ pub(crate) fn exec_alu(st: &mut MachineState, seq: SeqNum) {
         Opcode::Div | Opcode::Rem => st.cfg.div_latency,
         _ => 1,
     };
-    st.rob.get_mut(seq).expect("entry exists").pending_value = Some(v);
+    e.pending_value = Some(v);
     st.completions.push(Reverse((st.cycle + lat, seq.value())));
 }
 
 pub(crate) fn exec_bru(st: &mut MachineState, seq: SeqNum) {
-    let e = st.rob.get(seq).expect("issued instruction is in the ROB");
-    let (a, b) = src_vals(st, e);
+    let e = st.rob.get_mut(seq).expect("issued instruction is in the ROB");
+    let (a, b) = src_vals(&st.prf, e);
     let op = e.inst.op();
     let pc = e.pc;
     let outcome = if op.is_cond_branch() {
@@ -120,7 +137,6 @@ pub(crate) fn exec_bru(st: &mut MachineState, seq: SeqNum) {
         BranchOutcome { taken: true, next: Pc::new(a.wrapping_add(e.inst.imm() as u64)) }
     };
     let link = pc.next().addr();
-    let e = st.rob.get_mut(seq).expect("entry exists");
     if e.dst.is_some() {
         e.pending_value = Some(link);
     }
@@ -129,8 +145,8 @@ pub(crate) fn exec_bru(st: &mut MachineState, seq: SeqNum) {
 }
 
 pub(crate) fn exec_mem(st: &mut MachineState, engine: &mut dyn ReuseEngine, seq: SeqNum) {
-    let e = st.rob.get(seq).expect("issued instruction is in the ROB");
-    let (base, data) = src_vals(st, e);
+    let e = st.rob.get_mut(seq).expect("issued instruction is in the ROB");
+    let (base, data) = src_vals(&st.prf, e);
     let inst = e.inst;
     let addr = st.memory.wrap(exec::mem_addr(&inst, base));
     if inst.is_load() {
@@ -146,7 +162,7 @@ pub(crate) fn exec_mem(st: &mut MachineState, engine: &mut dyn ReuseEngine, seq:
                 // pre-store value. Requeue the load (ready — it was
                 // just selected) and retry next cycle.
                 st.stats.store_forward_stalls += 1;
-                st.rob.get_mut(seq).expect("entry exists").fwd_stalled = true;
+                e.fwd_stalled = true;
                 st.iq_mem.insert(seq, FuClass::Lsu, [None, None]);
                 return;
             }
@@ -161,7 +177,6 @@ pub(crate) fn exec_mem(st: &mut MachineState, engine: &mut dyn ReuseEngine, seq:
             // Verification re-executions refresh the recorded address.
             lq.addr = Some(addr);
         }
-        let e = st.rob.get_mut(seq).expect("entry exists");
         e.pending_value = Some(value);
         e.mem_addr = Some(addr);
         e.fwd_stalled = false;
@@ -171,7 +186,7 @@ pub(crate) fn exec_mem(st: &mut MachineState, engine: &mut dyn ReuseEngine, seq:
         let sq = st.lsq.store_mut(seq).expect("dispatched store is in the SQ");
         sq.addr = Some(addr);
         sq.data = Some(data);
-        st.rob.get_mut(seq).expect("entry exists").mem_addr = Some(addr);
+        e.mem_addr = Some(addr);
         // Store-to-load ordering check (§3.8.1).
         if let Some(lseq) = st.lsq.store_check(seq, addr) {
             let lpc = st.rob.get(lseq).expect("violating load is in the ROB").pc;
