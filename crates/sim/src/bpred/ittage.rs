@@ -13,8 +13,8 @@ use mssr_isa::Pc;
 use crate::ckpt::{fnv1a64, CkptError, CkptReader, CkptWriter};
 use crate::config::SimConfig;
 
-use super::tage::Btb;
-use super::{IndirectPredictor, OracleFeed};
+use super::tage::{Btb, FoldHash};
+use super::{in_range, IndirectPredictor, OracleFeed};
 
 /// Path-history lengths (bits) of the tagged target tables.
 const IT_HISTS: [u32; 3] = [4, 8, 16];
@@ -27,36 +27,13 @@ struct ItEntry {
     conf: u8,
 }
 
+/// The ITTAGE tables' hash: 10-bit tags.
+type ItHash = FoldHash<2, 1, 3, 10>;
+
 #[derive(Clone, Debug)]
 struct ItTable {
     entries: Vec<Option<ItEntry>>,
-    hist_len: u32,
-}
-
-impl ItTable {
-    fn fold(&self, hist: u64) -> u64 {
-        let h = if self.hist_len >= 64 { hist } else { hist & ((1u64 << self.hist_len) - 1) };
-        let bits = (usize::BITS - (self.entries.len() - 1).leading_zeros()).max(1);
-        let mut folded = 0u64;
-        let mut rest = h;
-        let mut taken = 0;
-        while taken < self.hist_len {
-            folded ^= rest & ((1u64 << bits) - 1);
-            rest >>= bits;
-            taken += bits;
-        }
-        folded
-    }
-
-    fn index(&self, pc: u64, hist: u64) -> usize {
-        let f = self.fold(hist);
-        ((pc >> 2) ^ f ^ (f << 2) ^ self.hist_len as u64) as usize & (self.entries.len() - 1)
-    }
-
-    fn tag(&self, pc: u64, hist: u64) -> u16 {
-        let f = self.fold(hist);
-        (((pc >> 2) ^ (f >> 1) ^ (f << 3)) & 0x3ff) as u16
-    }
+    hash: ItHash,
 }
 
 /// The ITTAGE indirect predictor.
@@ -74,51 +51,53 @@ impl Ittage {
             btb: Btb::new(cfg),
             tables: IT_HISTS
                 .iter()
-                .map(|&hist_len| ItTable { entries: vec![None; cfg.btb_entries], hist_len })
+                .map(|&hist_len| ItTable {
+                    entries: vec![None; cfg.btb_entries],
+                    hash: ItHash::new(hist_len, cfg.btb_entries),
+                })
                 .collect(),
             hist: 0,
         }
     }
 
+    /// Each table's `(index, tag)` for `pc` under the current path
+    /// history: one fold per table.
+    fn slots(&self, pc: u64) -> [(usize, u16); IT_HISTS.len()] {
+        std::array::from_fn(|i| {
+            let h = &self.tables[i].hash;
+            h.slot(pc, h.fold(self.hist))
+        })
+    }
+
     /// The longest tag-matching table, if any.
-    fn provider(&self, pc: u64) -> Option<usize> {
-        for (i, t) in self.tables.iter().enumerate().rev() {
-            let idx = t.index(pc, self.hist);
-            if let Some(e) = &t.entries[idx] {
-                if e.tag == t.tag(pc, self.hist) {
-                    return Some(i);
-                }
-            }
-        }
-        None
+    fn provider(&self, slots: &[(usize, u16)]) -> Option<usize> {
+        (0..self.tables.len()).rev().find(|&i| {
+            let (idx, tag) = slots[i];
+            self.tables[i].entries[idx].as_ref().is_some_and(|e| e.tag == tag)
+        })
     }
 }
 
 impl IndirectPredictor for Ittage {
     fn predict(&mut self, pc: Pc, _feed: Option<&OracleFeed>) -> Option<Pc> {
-        let a = pc.addr();
-        match self.provider(a) {
-            Some(i) => {
-                let t = &self.tables[i];
-                t.entries[t.index(a, self.hist)].as_ref().map(|e| e.target)
-            }
+        let slots = self.slots(pc.addr());
+        match self.provider(&slots) {
+            Some(i) => self.tables[i].entries[slots[i].0].as_ref().map(|e| e.target),
             None => self.btb.lookup(pc),
         }
     }
 
     fn update(&mut self, pc: Pc, target: Pc) {
-        let a = pc.addr();
-        let provider = self.provider(a);
+        let slots = self.slots(pc.addr());
+        let provider = self.provider(&slots);
         let correct = match provider {
             Some(i) => {
-                let t = &self.tables[i];
-                t.entries[t.index(a, self.hist)].as_ref().is_some_and(|e| e.target == target)
+                self.tables[i].entries[slots[i].0].as_ref().is_some_and(|e| e.target == target)
             }
             None => self.btb.lookup(pc) == Some(target),
         };
         if let Some(i) = provider {
-            let idx = self.tables[i].index(a, self.hist);
-            if let Some(e) = self.tables[i].entries[idx].as_mut() {
+            if let Some(e) = self.tables[i].entries[slots[i].0].as_mut() {
                 if e.target == target {
                     e.conf = (e.conf + 1).min(3);
                 } else if e.conf == 0 {
@@ -134,10 +113,8 @@ impl IndirectPredictor for Ittage {
             // candidate slot is defended (mirrors TAGE allocation).
             let start = provider.map_or(0, |i| i + 1);
             let mut allocated = false;
-            for i in start..self.tables.len() {
-                let idx = self.tables[i].index(a, self.hist);
-                let tag = self.tables[i].tag(a, self.hist);
-                let slot = &mut self.tables[i].entries[idx];
+            for (t, &(idx, tag)) in self.tables.iter_mut().zip(&slots).skip(start) {
+                let slot = &mut t.entries[idx];
                 match slot {
                     None => {
                         *slot = Some(ItEntry { tag, target, conf: 0 });
@@ -153,9 +130,8 @@ impl IndirectPredictor for Ittage {
                 }
             }
             if !allocated {
-                for i in start..self.tables.len() {
-                    let idx = self.tables[i].index(a, self.hist);
-                    if let Some(e) = self.tables[i].entries[idx].as_mut() {
+                for (t, &(idx, _)) in self.tables.iter_mut().zip(&slots).skip(start) {
+                    if let Some(e) = t.entries[idx].as_mut() {
                         e.conf = e.conf.saturating_sub(1);
                     }
                 }
@@ -175,7 +151,7 @@ impl IndirectPredictor for Ittage {
         self.btb.save_state(w);
         w.u64(self.tables.len() as u64);
         for t in &self.tables {
-            w.u32(t.hist_len);
+            w.u32(t.hash.hist_len());
             w.u64(t.entries.len() as u64);
             for e in &t.entries {
                 match e {
@@ -203,10 +179,10 @@ impl IndirectPredictor for Ittage {
         }
         for t in &mut self.tables {
             let hist_len = r.u32()?;
-            if hist_len != t.hist_len {
+            if hist_len != t.hash.hist_len() {
                 return Err(CkptError::Corrupt(format!(
                     "ITTAGE history length {hist_len} in checkpoint, {} configured",
-                    t.hist_len
+                    t.hash.hist_len()
                 )));
             }
             let ne = r.seq_len(1)?;
@@ -216,9 +192,13 @@ impl IndirectPredictor for Ittage {
                     t.entries.len()
                 )));
             }
-            for e in &mut t.entries {
+            for (i, e) in t.entries.iter_mut().enumerate() {
                 *e = if r.bool()? {
-                    Some(ItEntry { tag: r.u16()?, target: r.pc()?, conf: r.u8()? })
+                    Some(ItEntry {
+                        tag: in_range("ITTAGE tag", i, r.u16()?, 0..=ItHash::TAG_MAX)?,
+                        target: r.pc()?,
+                        conf: in_range("ITTAGE confidence", i, r.u8()?, 0..=3)?,
+                    })
                 } else {
                     None
                 };
@@ -226,5 +206,35 @@ impl IndirectPredictor for Ittage {
         }
         self.hist = r.u64()?;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `p`'s checkpoint, loaded into a fresh predictor.
+    fn reload(p: &Ittage) -> Result<(), CkptError> {
+        let mut w = CkptWriter::new();
+        p.save_state(&mut w);
+        Ittage::new(&SimConfig::default()).load_state(&mut CkptReader::new(&w.finish()))
+    }
+
+    #[test]
+    fn load_refuses_out_of_range_confidence_and_tags() {
+        let entry = |tag, conf| Some(ItEntry { tag, target: Pc::new(0x40), conf });
+        let mut p = Ittage::new(&SimConfig::default());
+        p.tables[1].entries[6] = entry(ItHash::TAG_MAX, 3);
+        assert_eq!(reload(&p), Ok(()));
+        p.tables[1].entries[6] = entry(0, 4);
+        assert_eq!(
+            reload(&p),
+            Err(CkptError::Corrupt("ITTAGE confidence 4 at entry 6 is outside 0..=3".into()))
+        );
+        p.tables[1].entries[6] = entry(ItHash::TAG_MAX + 1, 0);
+        assert_eq!(
+            reload(&p),
+            Err(CkptError::Corrupt("ITTAGE tag 1024 at entry 6 is outside 0..=1023".into()))
+        );
     }
 }

@@ -128,6 +128,15 @@ pub trait CondPredictor {
     /// Trains with a retired branch outcome; `meta` must be that
     /// dynamic branch's prediction snapshot.
     fn train(&mut self, pc: Pc, taken: bool, meta: PredMeta);
+    /// Warms the predictor with one architectural outcome, leaving
+    /// exactly the state of `predict` → `recover` if wrong → `train`.
+    fn warm(&mut self, pc: Pc, taken: bool, feed: Option<&OracleFeed>) {
+        let (pred, meta) = self.predict(pc, feed);
+        if pred != taken {
+            self.recover(meta, taken);
+        }
+        self.train(pc, taken, meta);
+    }
     /// The current speculative history (or feed cursor).
     fn history(&self) -> u64;
     /// Restores the speculative history (squash or probe undo).
@@ -155,6 +164,26 @@ pub trait IndirectPredictor {
     /// Restores state written by `save_state` of the same predictor
     /// under the same configuration.
     fn load_state(&mut self, r: &mut CkptReader) -> Result<(), CkptError>;
+}
+
+/// A checkpointed predictor field, refused unless it lies in `range`,
+/// the range its update rule keeps it in (so the next update cannot
+/// overflow). `field` and `entry` name it in the error.
+pub(crate) fn in_range<T: PartialOrd + std::fmt::Display>(
+    field: &str,
+    entry: usize,
+    v: T,
+    range: std::ops::RangeInclusive<T>,
+) -> Result<T, CkptError> {
+    if range.contains(&v) {
+        Ok(v)
+    } else {
+        Err(CkptError::Corrupt(format!(
+            "{field} {v} at entry {entry} is outside {}..={}",
+            range.start(),
+            range.end()
+        )))
+    }
 }
 
 /// Enum dispatch over the conditional predictors.
@@ -188,6 +217,10 @@ impl CondPredictor for CondDispatch {
 
     fn train(&mut self, pc: Pc, taken: bool, meta: PredMeta) {
         cond_each!(self, p => p.train(pc, taken, meta))
+    }
+
+    fn warm(&mut self, pc: Pc, taken: bool, feed: Option<&OracleFeed>) {
+        cond_each!(self, p => p.warm(pc, taken, feed))
     }
 
     fn history(&self) -> u64 {
@@ -429,6 +462,14 @@ impl BranchPredictor {
     /// dynamic branch so the same table indices are updated.
     pub fn train_cond(&mut self, pc: Pc, taken: bool, meta: PredMeta) {
         self.cond.train(pc, taken, meta);
+    }
+
+    /// Warms the conditional predictor with an architectural outcome
+    /// (functional fast-forward): the state a detailed run reaches by
+    /// predicting the branch, recovering if wrong, and training it at
+    /// commit. One table lookup for the TAGE-based kinds.
+    pub fn warm_cond(&mut self, pc: Pc, taken: bool) {
+        self.cond.warm(pc, taken, self.feed.as_ref());
     }
 
     /// Predicts the target of an indirect jump, if the indirect
@@ -785,6 +826,58 @@ mod tests {
         let pc = Pc::new(0x10);
         assert!(!p.predict_cond(pc).0, "taken branch predicted not-taken");
         assert!(p.predict_cond(pc).0, "not-taken branch predicted taken");
+    }
+
+    /// The fused warm step leaves exactly the state of the detailed
+    /// lifecycle it replaces, for every kind: two predictors see the
+    /// same outcome stream, one through `warm_cond`, one through
+    /// predict → recover if wrong → train, with the same probe-and-undo
+    /// predictions interleaved on both.
+    #[test]
+    fn warm_cond_matches_predict_recover_train() {
+        use crate::prop::for_each_case;
+        for_each_case("warm_cond matches predict, recover, train", 24, 0x7761_726d_0001, |rng| {
+            let pcs: Vec<Pc> = (0..6).map(|_| Pc::new(rng.below(1 << 14) * 4)).collect();
+            let n = rng.range(1, 600);
+            let stream: Vec<(Pc, bool)> = (0..n)
+                .map(|i| {
+                    let pc = pcs[rng.range(0, pcs.len())];
+                    // A mix of biased, patterned and random outcomes.
+                    (pc, if rng.chance(1, 3) { rng.chance(1, 2) } else { i % 3 != 0 })
+                })
+                .collect();
+            for kind in BpredKind::ALL {
+                let (mut fused, mut stepwise) = (bp_kind(kind), bp_kind(kind));
+                if kind.needs_feed() {
+                    let mut feed = OracleFeed::default();
+                    stream.iter().for_each(|&(_, t)| feed.push_cond(t));
+                    fused.install_feed(feed.clone());
+                    stepwise.install_feed(feed);
+                }
+                for (i, &(pc, taken)) in stream.iter().enumerate() {
+                    if rng.chance(1, 8) {
+                        for p in [&mut fused, &mut stepwise] {
+                            let (_, m) = p.predict_cond(pcs[0]);
+                            p.restore_ghr(m.ghr_before);
+                        }
+                    }
+                    fused.warm_cond(pc, taken);
+                    let (pred, meta) = stepwise.predict_cond(pc);
+                    if pred != taken {
+                        stepwise.recover_cond(meta, taken);
+                    }
+                    stepwise.train_cond(pc, taken, meta);
+                    assert_eq!(fused.ghr(), stepwise.ghr(), "{kind}: history after branch {i}");
+                    if i % 64 == 0 || i + 1 == n {
+                        assert_eq!(
+                            fused.cond_digest(),
+                            stepwise.cond_digest(),
+                            "{kind}: state after branch {i}"
+                        );
+                    }
+                }
+            }
+        });
     }
 
     #[test]

@@ -19,7 +19,7 @@ use crate::ckpt::{CkptError, CkptReader, CkptWriter};
 use crate::config::SimConfig;
 
 use super::tage::TageCond;
-use super::{CondPredictor, OracleFeed, PredMeta};
+use super::{in_range, CondPredictor, OracleFeed, PredMeta};
 
 /// Number of loop-table entries (direct-mapped, tagged).
 const LOOP_ENTRIES: usize = 128;
@@ -63,8 +63,11 @@ fn loop_index(pc: u64) -> usize {
     (pc >> 2) as usize & (LOOP_ENTRIES - 1)
 }
 
+/// Loop tags are 10 bits.
+const LOOP_TAG_MAX: u16 = 0x3ff;
+
 fn loop_tag(pc: u64) -> u16 {
-    ((pc >> 2) >> 7) as u16 & 0x3ff
+    ((pc >> 2) >> 7) as u16 & LOOP_TAG_MAX
 }
 
 fn sc_index(table: usize, pc: u64, ghr: u64) -> usize {
@@ -167,8 +170,10 @@ impl CondPredictor for SclCond {
         let ghr = meta.ghr_before;
         // Everything the corrector needs is re-derived from pre-train
         // state, so the update order below is a pure function of the
-        // commit stream.
-        let tage_pred = self.tage.pred_at(a, ghr);
+        // commit stream. TAGE trains first and returns its pre-training
+        // prediction; its training touches neither the corrector nor
+        // the loop table, so one lookup serves both.
+        let tage_pred = self.tage.train_at(a, taken, ghr);
         let sum = self.sc_sum(a, ghr, tage_pred);
         let sc_pred = if sum.abs() >= SC_THETA { sum >= 0 } else { tage_pred };
         if sc_pred != taken || sum.abs() < SC_THETA {
@@ -178,7 +183,6 @@ impl CondPredictor for SclCond {
             }
         }
         self.loop_train(a, taken);
-        self.tage.train(pc, taken, meta);
     }
 
     fn history(&self) -> u64 {
@@ -223,9 +227,14 @@ impl CondPredictor for SclCond {
                 self.loops.len()
             )));
         }
-        for e in &mut self.loops {
+        for (i, e) in self.loops.iter_mut().enumerate() {
             *e = if r.bool()? {
-                Some(LoopEntry { tag: r.u16()?, trip: r.u16()?, count: r.u16()?, conf: r.u8()? })
+                Some(LoopEntry {
+                    tag: in_range("loop tag", i, r.u16()?, 0..=LOOP_TAG_MAX)?,
+                    trip: r.u16()?,
+                    count: r.u16()?,
+                    conf: in_range("loop confidence", i, r.u8()?, 0..=LOOP_CONF)?,
+                })
             } else {
                 None
             };
@@ -237,9 +246,56 @@ impl CondPredictor for SclCond {
                 self.weights.len()
             )));
         }
-        for v in &mut self.weights {
-            *v = r.i8()?;
+        for (i, v) in self.weights.iter_mut().enumerate() {
+            *v = in_range("corrector weight", i, r.i8()?, SC_MIN..=SC_MAX)?;
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `p`'s checkpoint, loaded into a fresh predictor.
+    fn reload(p: &SclCond) -> Result<(), CkptError> {
+        let mut w = CkptWriter::new();
+        p.save_state(&mut w);
+        SclCond::new(&SimConfig::default()).load_state(&mut CkptReader::new(&w.finish()))
+    }
+
+    #[test]
+    fn load_refuses_out_of_range_corrector_weights() {
+        let mut p = SclCond::new(&SimConfig::default());
+        p.weights[7] = SC_MIN;
+        p.weights[8] = SC_MAX;
+        assert_eq!(reload(&p), Ok(()));
+        for (v, want) in [(SC_MAX + 1, "32"), (SC_MIN - 1, "-33"), (i8::MAX, "127")] {
+            p.weights[7] = v;
+            assert_eq!(
+                reload(&p),
+                Err(CkptError::Corrupt(format!(
+                    "corrector weight {want} at entry 7 is outside -32..=31"
+                )))
+            );
+        }
+    }
+
+    #[test]
+    fn load_refuses_out_of_range_loop_entries() {
+        let entry = |tag, conf| Some(LoopEntry { tag, trip: 9, count: 2, conf });
+        let mut p = SclCond::new(&SimConfig::default());
+        p.loops[3] = entry(LOOP_TAG_MAX, LOOP_CONF);
+        assert_eq!(reload(&p), Ok(()));
+        p.loops[3] = entry(0, LOOP_CONF + 1);
+        assert_eq!(
+            reload(&p),
+            Err(CkptError::Corrupt("loop confidence 4 at entry 3 is outside 0..=3".into()))
+        );
+        p.loops[3] = entry(LOOP_TAG_MAX + 1, 0);
+        assert_eq!(
+            reload(&p),
+            Err(CkptError::Corrupt("loop tag 1024 at entry 3 is outside 0..=1023".into()))
+        );
     }
 }

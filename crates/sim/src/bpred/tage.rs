@@ -7,7 +7,7 @@ use mssr_isa::Pc;
 use crate::ckpt::{fnv1a64, CkptError, CkptReader, CkptWriter};
 use crate::config::SimConfig;
 
-use super::{CondPredictor, IndirectPredictor, OracleFeed, PredMeta};
+use super::{in_range, CondPredictor, IndirectPredictor, OracleFeed, PredMeta};
 
 #[derive(Clone, Debug)]
 pub(crate) struct TageEntry {
@@ -18,38 +18,100 @@ pub(crate) struct TageEntry {
     pub(crate) useful: u8,
 }
 
-#[derive(Clone, Debug)]
-pub(crate) struct TageTable {
-    pub(crate) entries: Vec<Option<TageEntry>>,
-    pub(crate) hist_len: u32,
+/// How a tagged table turns `(pc, history)` into a slot: the low
+/// `hist_len` history bits are XOR-folded into chunks the width of the
+/// index space, and that one fold yields both the index and the tag.
+/// The const parameters are the hash shifts and the tag width, so TAGE
+/// and ITTAGE share the fold while keeping their own hashes.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct FoldHash<
+    const IDX_SHL: u32,
+    const TAG_SHR: u32,
+    const TAG_SHL: u32,
+    const TAG_BITS: u32,
+> {
+    hist_len: u32,
+    /// History bits folded: `hist_len` capped at the 64-bit register.
+    len: u32,
+    /// Fold width: log2 of the table size, at least 1.
+    width: u32,
+    /// `(1 << width) - 1`.
+    mask: u64,
+    /// Where the bit leaving the window lands in a rotated fold:
+    /// `len % width`, precomputed so [`FoldHash::shift`] never divides.
+    out_pos: u32,
+    /// Table size minus one.
+    index_mask: usize,
 }
 
-impl TageTable {
-    fn fold(&self, ghr: u64) -> u64 {
-        // Fold `hist_len` bits of history into chunks the size of the
-        // index space, XOR-combining chunks.
-        let h = if self.hist_len >= 64 { ghr } else { ghr & ((1u64 << self.hist_len) - 1) };
-        let bits = (usize::BITS - (self.entries.len() - 1).leading_zeros()).max(1);
+impl<const IDX_SHL: u32, const TAG_SHR: u32, const TAG_SHL: u32, const TAG_BITS: u32>
+    FoldHash<IDX_SHL, TAG_SHR, TAG_SHL, TAG_BITS>
+{
+    /// The largest tag this hash produces.
+    pub(crate) const TAG_MAX: u16 = ((1u32 << TAG_BITS) - 1) as u16;
+
+    /// The hash of a table of `entries` (a power of two) slots over
+    /// `hist_len` history bits.
+    pub(crate) fn new(hist_len: u32, entries: usize) -> Self {
+        assert!(hist_len > 0, "a tagged table needs at least one history bit");
+        let len = hist_len.min(64);
+        let width = (usize::BITS - (entries - 1).leading_zeros()).max(1);
+        FoldHash {
+            hist_len,
+            len,
+            width,
+            mask: (1u64 << width) - 1,
+            out_pos: len % width,
+            index_mask: entries - 1,
+        }
+    }
+
+    /// The configured history length (part of the checkpoint identity).
+    pub(crate) fn hist_len(&self) -> u32 {
+        self.hist_len
+    }
+
+    /// Folds the low `len` bits of `hist` into `width` bits.
+    pub(crate) fn fold(&self, hist: u64) -> u64 {
+        let mut rest = if self.len >= 64 { hist } else { hist & ((1u64 << self.len) - 1) };
         let mut folded = 0u64;
-        let mut rest = h;
-        let mut taken = 0;
-        while taken < self.hist_len {
-            folded ^= rest & ((1u64 << bits) - 1);
-            rest >>= bits;
-            taken += bits;
+        while rest != 0 {
+            folded ^= rest & self.mask;
+            rest >>= self.width;
         }
         folded
     }
 
-    fn index(&self, pc: u64, ghr: u64) -> usize {
-        let f = self.fold(ghr);
-        ((pc >> 2) ^ f ^ (f << 3) ^ self.hist_len as u64) as usize & (self.entries.len() - 1)
+    /// The fold of `(hist << 1) | bit`, given `f = fold(hist)`: rotate
+    /// the fold left by one, insert `bit` at position 0, and cancel the
+    /// bit that left the window, which the rotation carried to
+    /// `out_pos`. O(1), with no division.
+    pub(crate) fn shift(&self, f: u64, hist: u64, bit: bool) -> u64 {
+        let rotated = ((f << 1) | (f >> (self.width - 1))) & self.mask;
+        let out = (hist >> (self.len - 1)) & 1;
+        rotated ^ u64::from(bit) ^ (out << self.out_pos)
     }
 
-    fn tag(&self, pc: u64, ghr: u64) -> u16 {
-        let f = self.fold(ghr);
-        (((pc >> 2) ^ (f >> 2) ^ (f << 1)) & 0xff) as u16
+    /// `(index, tag)` of `pc` under the history whose fold is `f`.
+    pub(crate) fn slot(&self, pc: u64, f: u64) -> (usize, u16) {
+        let p = pc >> 2;
+        let index = (p ^ f ^ (f << IDX_SHL) ^ u64::from(self.hist_len)) as usize & self.index_mask;
+        let tag = ((p ^ (f >> TAG_SHR) ^ (f << TAG_SHL)) & u64::from(Self::TAG_MAX)) as u16;
+        (index, tag)
     }
+}
+
+/// The TAGE tables' hash: 8-bit tags.
+pub(crate) type TageHash = FoldHash<3, 2, 1, 8>;
+
+#[derive(Clone, Debug)]
+pub(crate) struct TageTable {
+    pub(crate) entries: Vec<Option<TageEntry>>,
+    hash: TageHash,
+    /// Fold of the current speculative history. Derived state: kept in
+    /// step by every history change, rebuilt on restore, never
+    /// checkpointed.
+    fold: u64,
 }
 
 /// The TAGE + bimodal conditional predictor — the behavior-preserving
@@ -57,6 +119,10 @@ impl TageTable {
 /// half. The global history register is updated *speculatively* at
 /// prediction time; [`PredMeta`] carries the pre-prediction snapshot so
 /// squashes restore it exactly and training replays the same indices.
+///
+/// Each table keeps the fold of the current history, so a prediction
+/// probes without folding; training under an older history (commit
+/// time) folds it at most once per table.
 #[derive(Clone, Debug)]
 pub(crate) struct TageCond {
     bimodal: Vec<u8>,
@@ -64,6 +130,9 @@ pub(crate) struct TageCond {
     ghr: u64,
     /// Deterministic tie-break counter for TAGE allocation.
     alloc_seed: u64,
+    /// Per-table `(index, tag)` of the history being trained, filled by
+    /// the probe so allocation reuses it (scratch; never checkpointed).
+    slots: Vec<(usize, u16)>,
 }
 
 impl TageCond {
@@ -73,10 +142,15 @@ impl TageCond {
             bimodal: vec![2; cfg.bimodal_entries], // weakly taken
             tables: hist_lens
                 .into_iter()
-                .map(|hist_len| TageTable { entries: vec![None; cfg.tage_entries], hist_len })
+                .map(|hist_len| TageTable {
+                    entries: vec![None; cfg.tage_entries],
+                    hash: TageHash::new(hist_len, cfg.tage_entries),
+                    fold: 0,
+                })
                 .collect(),
             ghr: 0,
             alloc_seed: 0x9e3779b97f4a7c15,
+            slots: vec![(0, 0); cfg.tage_tables],
         }
     }
 
@@ -84,13 +158,24 @@ impl TageCond {
         (pc >> 2) as usize & (self.bimodal.len() - 1)
     }
 
-    /// Finds the longest-history hitting table, if any; returns
-    /// `(table_index, prediction)`.
-    fn tage_lookup(&self, pc: u64, ghr: u64) -> Option<(usize, bool)> {
+    /// Finds the longest-history hitting table at `(pc, ghr)`, if any;
+    /// returns `(table_index, prediction)`. `visit` sees the slot of
+    /// every table probed, longest history first. Uses the maintained
+    /// folds when `ghr` is the current history, else folds `ghr` once
+    /// per probed table.
+    fn lookup(
+        &self,
+        pc: u64,
+        ghr: u64,
+        mut visit: impl FnMut(usize, (usize, u16)),
+    ) -> Option<(usize, bool)> {
+        let current = ghr == self.ghr;
         for (i, t) in self.tables.iter().enumerate().rev() {
-            let idx = t.index(pc, ghr);
+            let f = if current { t.fold } else { t.hash.fold(ghr) };
+            let (idx, tag) = t.hash.slot(pc, f);
+            visit(i, (idx, tag));
             if let Some(e) = &t.entries[idx] {
-                if e.tag == t.tag(pc, ghr) {
+                if e.tag == tag {
                     return Some((i, e.ctr >= 0));
                 }
             }
@@ -99,10 +184,9 @@ impl TageCond {
     }
 
     /// The pure prediction at `(pc, ghr)` — the TAGE provider if any
-    /// table hits, the bimodal counter otherwise. Reads only; the
-    /// statistical corrector re-derives this at train time.
+    /// table hits, the bimodal counter otherwise. Reads only.
     pub(crate) fn pred_at(&self, pc: u64, ghr: u64) -> bool {
-        match self.tage_lookup(pc, ghr) {
+        match self.lookup(pc, ghr, |_, _| {}) {
             Some((_, p)) => p,
             None => self.bimodal[self.bimodal_index(pc)] >= 2,
         }
@@ -114,39 +198,52 @@ impl TageCond {
         self.ghr
     }
 
-    /// Shifts a predicted outcome into the speculative history.
-    pub(crate) fn shift_history(&mut self, pred: bool) {
-        self.ghr = (self.ghr << 1) | pred as u64;
-    }
-}
-
-impl CondPredictor for TageCond {
-    fn predict(&mut self, pc: Pc, _feed: Option<&OracleFeed>) -> (bool, PredMeta) {
-        let meta = PredMeta { ghr_before: self.ghr };
-        let pred = self.pred_at(pc.addr(), self.ghr);
-        self.shift_history(pred);
-        (pred, meta)
+    /// Shifts an outcome into the speculative history, updating each
+    /// table's fold in O(1).
+    pub(crate) fn shift_history(&mut self, bit: bool) {
+        let old = self.ghr;
+        self.ghr = (old << 1) | u64::from(bit);
+        for t in &mut self.tables {
+            t.fold = t.hash.shift(t.fold, old, bit);
+        }
     }
 
-    fn recover(&mut self, meta: PredMeta, actual_taken: bool) {
-        self.ghr = (meta.ghr_before << 1) | actual_taken as u64;
+    /// Sets the speculative history, refolding every table once unless
+    /// it is unchanged.
+    fn set_history(&mut self, ghr: u64) {
+        if ghr != self.ghr {
+            self.ghr = ghr;
+            self.refold();
+        }
     }
 
-    fn train(&mut self, pc: Pc, taken: bool, meta: PredMeta) {
-        let a = pc.addr();
-        let ghr = meta.ghr_before;
+    /// Rebuilds every table's fold from the history register.
+    fn refold(&mut self) {
+        for t in &mut self.tables {
+            t.fold = t.hash.fold(self.ghr);
+        }
+    }
+
+    /// Trains with the outcome of the branch at `a` predicted under
+    /// history `ghr`, and returns the pre-training prediction at
+    /// `(a, ghr)` (what [`TageCond::pred_at`] returned), so a composing
+    /// predictor needs no second lookup.
+    pub(crate) fn train_at(&mut self, a: u64, taken: bool, ghr: u64) -> bool {
+        let mut slots = std::mem::take(&mut self.slots);
+        let provider = self.lookup(a, ghr, |i, s| slots[i] = s);
+        self.slots = slots;
         // Bimodal update (always).
         let bi = self.bimodal_index(a);
         let c = &mut self.bimodal[bi];
+        let bimodal_pred = *c >= 2;
         *c = if taken { (*c + 1).min(3) } else { c.saturating_sub(1) };
 
-        let provider = self.tage_lookup(a, ghr);
         let correct = match provider {
             Some((_, p)) => p == taken,
             None => (self.bimodal[bi] >= 2) == taken,
         };
         if let Some((ti, _)) = provider {
-            let idx = self.tables[ti].index(a, ghr);
+            let idx = self.slots[ti].0;
             if let Some(e) = self.tables[ti].entries[idx].as_mut() {
                 e.ctr = if taken { (e.ctr + 1).min(3) } else { (e.ctr - 1).max(-4) };
                 if correct {
@@ -156,15 +253,15 @@ impl CondPredictor for TageCond {
                 }
             }
         }
-        // Allocate a longer-history entry on a misprediction.
+        // Allocate a longer-history entry on a misprediction. The probe
+        // visited every table from the provider up, so their slots are
+        // already in `self.slots`.
         if !correct {
             let start = provider.map_or(0, |(ti, _)| ti + 1);
             self.alloc_seed = self.alloc_seed.wrapping_mul(0xd1342543de82ef95).wrapping_add(1);
             let mut allocated = false;
-            for ti in start..self.tables.len() {
-                let idx = self.tables[ti].index(a, ghr);
-                let tag = self.tables[ti].tag(a, ghr);
-                let slot = &mut self.tables[ti].entries[idx];
+            for (t, &(idx, tag)) in self.tables.iter_mut().zip(&self.slots).skip(start) {
+                let slot = &mut t.entries[idx];
                 match slot {
                     None => {
                         *slot = Some(TageEntry { tag, ctr: if taken { 0 } else { -1 }, useful: 0 });
@@ -181,14 +278,49 @@ impl CondPredictor for TageCond {
             }
             if !allocated {
                 // Decay usefulness so future allocations can succeed.
-                for ti in start..self.tables.len() {
-                    let idx = self.tables[ti].index(a, ghr);
-                    if let Some(e) = self.tables[ti].entries[idx].as_mut() {
+                for (t, &(idx, _)) in self.tables.iter_mut().zip(&self.slots).skip(start) {
+                    if let Some(e) = t.entries[idx].as_mut() {
                         e.useful = e.useful.saturating_sub(1);
                     }
                 }
             }
         }
+        provider.map_or(bimodal_pred, |(_, p)| p)
+    }
+}
+
+impl CondPredictor for TageCond {
+    fn predict(&mut self, pc: Pc, _feed: Option<&OracleFeed>) -> (bool, PredMeta) {
+        let meta = PredMeta { ghr_before: self.ghr };
+        let pred = self.pred_at(pc.addr(), self.ghr);
+        self.shift_history(pred);
+        (pred, meta)
+    }
+
+    fn recover(&mut self, meta: PredMeta, actual_taken: bool) {
+        let ghr = (meta.ghr_before << 1) | u64::from(actual_taken);
+        if ghr ^ self.ghr == 1 {
+            // Right after its own prediction: only the newest bit flips,
+            // and the newest bit sits at bit 0 of every fold.
+            self.ghr = ghr;
+            for t in &mut self.tables {
+                t.fold ^= 1;
+            }
+        } else {
+            self.set_history(ghr);
+        }
+    }
+
+    fn train(&mut self, pc: Pc, taken: bool, meta: PredMeta) {
+        self.train_at(pc.addr(), taken, meta.ghr_before);
+    }
+
+    /// `predict` writes no table and `recover` changes only the history,
+    /// so predict → recover → train is one training lookup under the
+    /// current history followed by shifting in the outcome.
+    fn warm(&mut self, pc: Pc, taken: bool, _feed: Option<&OracleFeed>) {
+        self.train_at(pc.addr(), taken, self.ghr);
+        self.shift_history(taken);
     }
 
     fn history(&self) -> u64 {
@@ -196,7 +328,7 @@ impl CondPredictor for TageCond {
     }
 
     fn restore_history(&mut self, ghr: u64) {
-        self.ghr = ghr;
+        self.set_history(ghr);
     }
 
     fn occupancy(&self) -> (usize, usize) {
@@ -212,7 +344,7 @@ impl CondPredictor for TageCond {
         }
         w.u64(self.tables.len() as u64);
         for t in &self.tables {
-            w.u32(t.hist_len);
+            w.u32(t.hash.hist_len());
             w.u64(t.entries.len() as u64);
             for e in &t.entries {
                 match e {
@@ -238,8 +370,8 @@ impl CondPredictor for TageCond {
                 self.bimodal.len()
             )));
         }
-        for c in &mut self.bimodal {
-            *c = r.u8()?;
+        for (i, c) in self.bimodal.iter_mut().enumerate() {
+            *c = in_range("bimodal counter", i, r.u8()?, 0..=3)?;
         }
         let nt = r.seq_len(13)?;
         if nt != self.tables.len() {
@@ -250,10 +382,10 @@ impl CondPredictor for TageCond {
         }
         for t in &mut self.tables {
             let hist_len = r.u32()?;
-            if hist_len != t.hist_len {
+            if hist_len != t.hash.hist_len() {
                 return Err(CkptError::Corrupt(format!(
                     "TAGE history length {hist_len} in checkpoint, {} configured",
-                    t.hist_len
+                    t.hash.hist_len()
                 )));
             }
             let ne = r.seq_len(1)?;
@@ -263,15 +395,20 @@ impl CondPredictor for TageCond {
                     t.entries.len()
                 )));
             }
-            for e in &mut t.entries {
+            for (i, e) in t.entries.iter_mut().enumerate() {
                 *e = if r.bool()? {
-                    Some(TageEntry { tag: r.u16()?, ctr: r.i8()?, useful: r.u8()? })
+                    Some(TageEntry {
+                        tag: in_range("TAGE tag", i, r.u16()?, 0..=TageHash::TAG_MAX)?,
+                        ctr: in_range("TAGE counter", i, r.i8()?, -4..=3)?,
+                        useful: in_range("TAGE useful counter", i, r.u8()?, 0..=3)?,
+                    })
                 } else {
                     None
                 };
             }
         }
         self.ghr = r.u64()?;
+        self.refold();
         self.alloc_seed = r.u64()?;
         Ok(())
     }
@@ -358,4 +495,196 @@ impl IndirectPredictor for Btb {
 /// Geometric history lengths for `n` tagged tables (4, 8, 16, … capped at 64).
 pub(crate) fn geometric_histories(n: usize) -> Vec<u32> {
     (0..n).map(|i| (4u32 << i).min(64)).collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::prop::{for_each_case, Rng};
+
+    /// The fold as first written: XOR-combine `bits`-wide chunks of the
+    /// low `hist_len` history bits, one chunk per `bits` of history.
+    fn reference_fold(hist_len: u32, entries: usize, ghr: u64) -> u64 {
+        let h = if hist_len >= 64 { ghr } else { ghr & ((1u64 << hist_len) - 1) };
+        let bits = (usize::BITS - (entries - 1).leading_zeros()).max(1);
+        let mut folded = 0u64;
+        let mut rest = h;
+        let mut taken = 0;
+        while taken < hist_len {
+            folded ^= rest & ((1u64 << bits) - 1);
+            rest >>= bits;
+            taken += bits;
+        }
+        folded
+    }
+
+    fn cfg(tables: usize, entries: usize) -> SimConfig {
+        SimConfig {
+            tage_tables: tables,
+            tage_entries: entries,
+            bimodal_entries: 64,
+            ..SimConfig::default()
+        }
+    }
+
+    /// Every table's maintained fold is the fold of the current history.
+    fn assert_folds_current(p: &TageCond, step: &str) {
+        for (i, t) in p.tables.iter().enumerate() {
+            assert_eq!(t.fold, t.hash.fold(p.ghr), "table {i} fold stale after {step}");
+        }
+    }
+
+    fn random_history(rng: &mut Rng) -> u64 {
+        match rng.below(3) {
+            0 => rng.next_u64(),
+            1 => rng.below(16),
+            _ => u64::MAX - rng.below(16),
+        }
+    }
+
+    #[test]
+    fn one_fold_gives_the_reference_index_and_tag() {
+        for_each_case("one fold gives the reference index and tag", 256, 0x7461_6765_0001, |rng| {
+            let entries = 1usize << rng.range(0, 13);
+            let hist_len = [1, 4, 7, 8, 16, 32, 63, 64][rng.range(0, 8)];
+            let hash = TageHash::new(hist_len, entries);
+            for _ in 0..64 {
+                let (pc, ghr) = (rng.next_u64(), random_history(rng));
+                let f = reference_fold(hist_len, entries, ghr);
+                assert_eq!(
+                    hash.fold(ghr),
+                    f,
+                    "fold of {ghr:#x} (len {hist_len}, {entries} entries)"
+                );
+                let index = ((pc >> 2) ^ f ^ (f << 3) ^ hist_len as u64) as usize & (entries - 1);
+                let tag = (((pc >> 2) ^ (f >> 2) ^ (f << 1)) & 0xff) as u16;
+                assert_eq!(hash.slot(pc, f), (index, tag));
+                let bit = rng.chance(1, 2);
+                let shifted = (ghr << 1) | u64::from(bit);
+                assert_eq!(
+                    hash.shift(f, ghr, bit),
+                    reference_fold(hist_len, entries, shifted),
+                    "shift of {ghr:#x} by {bit} (len {hist_len}, {entries} entries)"
+                );
+            }
+        });
+    }
+
+    /// Random predict / recover / restore / train / warm / load
+    /// sequences, with many predictions in flight as in the pipeline:
+    /// after every step the maintained folds equal a direct fold.
+    #[test]
+    fn maintained_folds_track_the_history() {
+        for_each_case("maintained folds track the history", 128, 0x7461_6765_0002, |rng| {
+            let cfg = cfg(rng.range(1, 8), 1 << rng.range(0, 11));
+            let mut p = TageCond::new(&cfg);
+            let mut in_flight: Vec<PredMeta> = Vec::new();
+            let pcs: Vec<Pc> = (0..8).map(|_| Pc::new(rng.below(1 << 16) * 4)).collect();
+            for _ in 0..rng.range(1, 400) {
+                let pc = pcs[rng.range(0, pcs.len())];
+                let step = match rng.below(7) {
+                    0 | 1 => {
+                        in_flight.push(p.predict(pc, None).1);
+                        "predict"
+                    }
+                    2 if !in_flight.is_empty() => {
+                        // Resolve the newest or an older in-flight branch.
+                        let k = rng.range(0, in_flight.len());
+                        p.recover(in_flight[k], rng.chance(1, 2));
+                        in_flight.truncate(k + 1);
+                        "recover"
+                    }
+                    3 => {
+                        let h = match in_flight.pop() {
+                            Some(m) if rng.chance(3, 4) => m.ghr_before,
+                            _ => random_history(rng),
+                        };
+                        p.restore_history(h);
+                        "restore"
+                    }
+                    4 if !in_flight.is_empty() => {
+                        let m = in_flight.remove(0);
+                        p.train(pc, rng.chance(1, 2), m);
+                        "train"
+                    }
+                    5 => {
+                        p.warm(pc, rng.chance(1, 2), None);
+                        "warm"
+                    }
+                    6 => {
+                        let mut w = CkptWriter::new();
+                        p.save_state(&mut w);
+                        let bytes = w.finish();
+                        let mut q = TageCond::new(&cfg);
+                        q.restore_history(random_history(rng));
+                        q.load_state(&mut CkptReader::new(&bytes)).expect("round trip");
+                        p = q;
+                        "load"
+                    }
+                    _ => "nothing",
+                };
+                assert_folds_current(&p, step);
+            }
+        });
+    }
+
+    /// The checkpoint of a predictor whose first table's first entry is
+    /// `e`, loaded into a fresh predictor.
+    fn load_with_entry(e: TageEntry) -> Result<(), CkptError> {
+        let cfg = cfg(2, 16);
+        let mut p = TageCond::new(&cfg);
+        p.tables[0].entries[0] = Some(e);
+        let mut w = CkptWriter::new();
+        p.save_state(&mut w);
+        TageCond::new(&cfg).load_state(&mut CkptReader::new(&w.finish()))
+    }
+
+    #[test]
+    fn load_refuses_out_of_range_bimodal_counters() {
+        let cfg = cfg(2, 16);
+        let mut p = TageCond::new(&cfg);
+        p.bimodal[5] = 3;
+        let mut w = CkptWriter::new();
+        p.save_state(&mut w);
+        let mut bytes = w.finish();
+        assert_eq!(TageCond::new(&cfg).load_state(&mut CkptReader::new(&bytes)), Ok(()));
+        bytes[8 + 5] = 255; // after the u64 counter count
+        assert_eq!(
+            TageCond::new(&cfg).load_state(&mut CkptReader::new(&bytes)),
+            Err(CkptError::Corrupt("bimodal counter 255 at entry 5 is outside 0..=3".into()))
+        );
+    }
+
+    #[test]
+    fn load_refuses_out_of_range_tage_counters() {
+        for ctr in [-4, 3] {
+            assert_eq!(load_with_entry(TageEntry { tag: 0, ctr, useful: 0 }), Ok(()));
+        }
+        for (ctr, want) in [(i8::MIN, "-128"), (-5, "-5"), (4, "4")] {
+            assert_eq!(
+                load_with_entry(TageEntry { tag: 0, ctr, useful: 0 }),
+                Err(CkptError::Corrupt(format!(
+                    "TAGE counter {want} at entry 0 is outside -4..=3"
+                )))
+            );
+        }
+    }
+
+    #[test]
+    fn load_refuses_out_of_range_useful_counters() {
+        assert_eq!(load_with_entry(TageEntry { tag: 0, ctr: 0, useful: 3 }), Ok(()));
+        assert_eq!(
+            load_with_entry(TageEntry { tag: 0, ctr: 0, useful: 4 }),
+            Err(CkptError::Corrupt("TAGE useful counter 4 at entry 0 is outside 0..=3".into()))
+        );
+    }
+
+    #[test]
+    fn load_refuses_tags_wider_than_eight_bits() {
+        assert_eq!(load_with_entry(TageEntry { tag: 0xff, ctr: 0, useful: 0 }), Ok(()));
+        assert_eq!(
+            load_with_entry(TageEntry { tag: 0x100, ctr: 0, useful: 0 }),
+            Err(CkptError::Corrupt("TAGE tag 256 at entry 0 is outside 0..=255".into()))
+        );
+    }
 }

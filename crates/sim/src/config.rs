@@ -206,6 +206,14 @@ impl SimConfig {
             if c.sets() == 0 {
                 return Err(ConfigError(format!("{name} has zero sets")));
             }
+            // A tag is the address shifted right by log2 line + log2
+            // sets; at least one bit of shift keeps tags below the
+            // cache's invalid-way marker.
+            if c.line_bytes * c.sets() < 2 {
+                return Err(ConfigError(format!(
+                    "{name} must cover at least two bytes per way (line_bytes × sets ≥ 2)"
+                )));
+            }
         }
         if self.phys_regs <= mssr_isa::NUM_ARCH_REGS {
             return Err(ConfigError(format!(
@@ -338,6 +346,12 @@ mod tests {
             ..SimConfig::default()
         };
         assert!(bad_cache.validate().is_err());
+        // One set of one-byte lines: a tag would be the whole address.
+        let byte_lines = SimConfig {
+            l1d: CacheConfig { size_bytes: 4, ways: 4, line_bytes: 1, latency: 3 },
+            ..SimConfig::default()
+        };
+        assert!(byte_lines.validate().is_err());
     }
 
     #[test]

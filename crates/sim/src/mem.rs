@@ -220,67 +220,101 @@ fn set_bits(mut word: u64) -> impl Iterator<Item = usize> {
 
 /// One set-associative, LRU cache level (tag store only — the latency
 /// model does not move data).
+///
+/// Tags and LRU stamps are flat arrays indexed by `set * ways + way`,
+/// the order the checkpoint has always listed them in. An address
+/// splits into line, set and tag by shifts and a mask precomputed from
+/// the power-of-two geometry.
 #[derive(Clone, Debug)]
 pub struct Cache {
     cfg: CacheConfig,
-    /// `tags[set][way]` — `None` is an invalid way.
-    tags: Vec<Vec<Option<u64>>>,
-    /// `lru[set][way]` — larger is more recently used.
-    lru: Vec<Vec<u64>>,
+    /// log2 of the line size.
+    line_shift: u32,
+    /// Sets minus one.
+    set_mask: u64,
+    /// log2 of the set count.
+    set_shift: u32,
+    /// `tags[set * ways + way]`; [`INVALID_WAY`] marks an invalid way.
+    tags: Vec<u64>,
+    /// `lru[set * ways + way]` — larger is more recently used.
+    lru: Vec<u64>,
     tick: u64,
     hits: u64,
     misses: u64,
 }
 
+/// The tag of an invalid way. A real tag is an address shifted right by
+/// `log2 line + log2 sets`, at least one bit, so it never reaches
+/// `u64::MAX`.
+const INVALID_WAY: u64 = u64::MAX;
+
 impl Cache {
     /// Builds an empty cache with the given geometry.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless line size and set count are powers of two, with
+    /// `line_bytes × sets ≥ 2`, and there is at least one way
+    /// ([`SimConfig::validate`] checks all three).
     pub fn new(cfg: CacheConfig) -> Cache {
         let sets = cfg.sets();
+        assert!(
+            cfg.line_bytes.is_power_of_two()
+                && sets.is_power_of_two()
+                && cfg.ways > 0
+                && cfg.line_bytes * sets >= 2,
+            "cache geometry {cfg:?} is not a valid power-of-two geometry"
+        );
         Cache {
             cfg,
-            tags: vec![vec![None; cfg.ways]; sets],
-            lru: vec![vec![0; cfg.ways]; sets],
+            line_shift: cfg.line_bytes.trailing_zeros(),
+            set_mask: sets as u64 - 1,
+            set_shift: sets.trailing_zeros(),
+            tags: vec![INVALID_WAY; sets * cfg.ways],
+            lru: vec![0; sets * cfg.ways],
             tick: 0,
             hits: 0,
             misses: 0,
         }
     }
 
+    /// The first flat index of `addr`'s set, and `addr`'s tag.
+    #[inline]
     fn set_and_tag(&self, addr: u64) -> (usize, u64) {
-        let line = addr / self.cfg.line_bytes as u64;
-        let set = (line as usize) & (self.cfg.sets() - 1);
-        let tag = line / self.cfg.sets() as u64;
-        (set, tag)
+        let line = addr >> self.line_shift;
+        ((line & self.set_mask) as usize * self.cfg.ways, line >> self.set_shift)
     }
 
     /// Accesses `addr`, allocating the line on a miss (LRU victim).
     /// Returns `true` on a hit.
     pub fn access(&mut self, addr: u64) -> bool {
         self.tick += 1;
-        let (set, tag) = self.set_and_tag(addr);
-        for way in 0..self.cfg.ways {
-            if self.tags[set][way] == Some(tag) {
-                self.lru[set][way] = self.tick;
-                self.hits += 1;
-                return true;
-            }
+        let (base, tag) = self.set_and_tag(addr);
+        let ways = base..base + self.cfg.ways;
+        if let Some(way) = self.tags[ways.clone()].iter().position(|&t| t == tag) {
+            self.lru[base + way] = self.tick;
+            self.hits += 1;
+            return true;
         }
         self.misses += 1;
-        // Fill the LRU (or first invalid) way.
-        let victim = (0..self.cfg.ways)
-            .min_by_key(
-                |&w| if self.tags[set][w].is_none() { (0, 0) } else { (1, self.lru[set][w]) },
-            )
-            .expect("cache has at least one way");
-        self.tags[set][victim] = Some(tag);
-        self.lru[set][victim] = self.tick;
+        // Fill the first invalid way, else the least recently used one
+        // (the first of equals).
+        let victim = match self.tags[ways.clone()].iter().position(|&t| t == INVALID_WAY) {
+            Some(way) => way,
+            None => {
+                let lru = &self.lru[ways];
+                (0..lru.len()).min_by_key(|&w| lru[w]).expect("cache has at least one way")
+            }
+        };
+        self.tags[base + victim] = tag;
+        self.lru[base + victim] = self.tick;
         false
     }
 
     /// Whether `addr` is currently resident (no LRU update, no allocation).
     pub fn probe(&self, addr: u64) -> bool {
-        let (set, tag) = self.set_and_tag(addr);
-        self.tags[set].contains(&Some(tag))
+        let (base, tag) = self.set_and_tag(addr);
+        self.tags[base..base + self.cfg.ways].contains(&tag)
     }
 
     /// Hit count since construction.
@@ -302,12 +336,12 @@ impl Cache {
     /// warmup-fidelity tests compare these between a functional warmup
     /// and a cycle-accurate run.
     pub fn resident_lines(&self) -> Vec<u64> {
-        let sets = self.cfg.sets() as u64;
         let mut out: Vec<u64> = self
             .tags
             .iter()
             .enumerate()
-            .flat_map(|(set, ways)| ways.iter().flatten().map(move |&tag| tag * sets + set as u64))
+            .filter(|&(_, &tag)| tag != INVALID_WAY)
+            .map(|(i, &tag)| tag << self.set_shift | (i / self.cfg.ways) as u64)
             .collect();
         out.sort_unstable();
         out
@@ -319,14 +353,15 @@ impl Cache {
         w.u64(self.tick);
         w.u64(self.hits);
         w.u64(self.misses);
-        for (set_tags, set_lru) in self.tags.iter().zip(&self.lru) {
-            for (tag, lru) in set_tags.iter().zip(set_lru) {
-                w.opt_u64(*tag);
-                w.u64(*lru);
-            }
+        for (&tag, &lru) in self.tags.iter().zip(&self.lru) {
+            w.opt_u64((tag != INVALID_WAY).then_some(tag));
+            w.u64(lru);
         }
     }
 
+    /// Restores the tag store. A tag must fit the address bits left
+    /// above the line offset and set index: a wider one names no
+    /// address (and could alias the invalid-way marker).
     pub(crate) fn ckpt_load(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
         let (sets, ways) = (r.u64()? as usize, r.u64()? as usize);
         if sets != self.cfg.sets() || ways != self.cfg.ways {
@@ -339,11 +374,20 @@ impl Cache {
         self.tick = r.u64()?;
         self.hits = r.u64()?;
         self.misses = r.u64()?;
-        for (set_tags, set_lru) in self.tags.iter_mut().zip(&mut self.lru) {
-            for (tag, lru) in set_tags.iter_mut().zip(set_lru.iter_mut()) {
-                *tag = r.opt_u64()?;
-                *lru = r.u64()?;
-            }
+        let tag_bits = 64 - self.line_shift - self.set_shift;
+        for (i, (tag, lru)) in self.tags.iter_mut().zip(&mut self.lru).enumerate() {
+            *tag = match r.opt_u64()? {
+                None => INVALID_WAY,
+                Some(t) if t >> tag_bits == 0 => t,
+                Some(t) => {
+                    return Err(CkptError::Corrupt(format!(
+                        "cache tag {t:#x} in set {} way {} is wider than {tag_bits} bits",
+                        i / ways,
+                        i % ways
+                    )))
+                }
+            };
+            *lru = r.u64()?;
         }
         Ok(())
     }
@@ -616,6 +660,168 @@ mod tests {
     fn probe_does_not_allocate() {
         let c = tiny_cache();
         assert!(!c.probe(0x0));
+    }
+
+    /// The nested tag store the flat one replaced: `tags[set][way]`,
+    /// `None` for an invalid way, addresses split by division.
+    struct NestedCache {
+        line: u64,
+        sets: usize,
+        tags: Vec<Vec<Option<u64>>>,
+        lru: Vec<Vec<u64>>,
+        tick: u64,
+        hits: u64,
+        misses: u64,
+    }
+
+    impl NestedCache {
+        fn new(cfg: CacheConfig) -> NestedCache {
+            let sets = cfg.sets();
+            NestedCache {
+                line: cfg.line_bytes as u64,
+                sets,
+                tags: vec![vec![None; cfg.ways]; sets],
+                lru: vec![vec![0; cfg.ways]; sets],
+                tick: 0,
+                hits: 0,
+                misses: 0,
+            }
+        }
+
+        fn access(&mut self, addr: u64) -> bool {
+            self.tick += 1;
+            let line = addr / self.line;
+            let (set, tag) = ((line as usize) & (self.sets - 1), line / self.sets as u64);
+            let ways = self.tags[set].len();
+            for way in 0..ways {
+                if self.tags[set][way] == Some(tag) {
+                    self.lru[set][way] = self.tick;
+                    self.hits += 1;
+                    return true;
+                }
+            }
+            self.misses += 1;
+            let victim = (0..ways)
+                .min_by_key(|&w| {
+                    if self.tags[set][w].is_none() {
+                        (0, 0)
+                    } else {
+                        (1, self.lru[set][w])
+                    }
+                })
+                .expect("one way");
+            self.tags[set][victim] = Some(tag);
+            self.lru[set][victim] = self.tick;
+            false
+        }
+
+        fn resident_lines(&self) -> Vec<u64> {
+            let sets = self.sets as u64;
+            let mut out: Vec<u64> = self
+                .tags
+                .iter()
+                .enumerate()
+                .flat_map(|(set, ways)| {
+                    ways.iter().flatten().map(move |&tag| tag * sets + set as u64)
+                })
+                .collect();
+            out.sort_unstable();
+            out
+        }
+
+        fn ckpt_save(&self) -> Vec<u8> {
+            let mut w = CkptWriter::new();
+            w.u64(self.sets as u64);
+            w.u64(self.tags[0].len() as u64);
+            w.u64(self.tick);
+            w.u64(self.hits);
+            w.u64(self.misses);
+            for (set_tags, set_lru) in self.tags.iter().zip(&self.lru) {
+                for (tag, lru) in set_tags.iter().zip(set_lru) {
+                    w.opt_u64(*tag);
+                    w.u64(*lru);
+                }
+            }
+            w.finish()
+        }
+    }
+
+    fn cache_bytes(c: &Cache) -> Vec<u8> {
+        let mut w = CkptWriter::new();
+        c.ckpt_save(&mut w);
+        w.finish()
+    }
+
+    fn load_cache(c: &mut Cache, bytes: &[u8]) -> Result<(), CkptError> {
+        let mut r = CkptReader::new(bytes);
+        c.ckpt_load(&mut r)?;
+        r.done()
+    }
+
+    #[test]
+    fn flat_cache_matches_the_nested_model() {
+        for_each_case("flat cache matches the nested model", 128, 0x6361_6368_6501, |rng| {
+            let line_bytes = 1usize << rng.range(0, 8);
+            let ways = 1usize << rng.range(0, 4);
+            let min_sets = if line_bytes == 1 { 1 } else { 0 };
+            let sets = 1usize << rng.range(min_sets, 7);
+            let cfg =
+                CacheConfig { size_bytes: sets * ways * line_bytes, ways, line_bytes, latency: 1 };
+            let (mut flat, mut nested) = (Cache::new(cfg), NestedCache::new(cfg));
+            // Hot lines, a sweep, and the whole address range (tags up
+            // to the widest the geometry allows).
+            let span = (sets * ways * line_bytes * 3) as u64;
+            for i in 0..rng.range(1, 800) {
+                let addr = match rng.below(4) {
+                    0 => rng.below(span),
+                    1 => (i as u64 * line_bytes as u64) % span,
+                    2 => rng.next_u64(),
+                    _ => u64::MAX - rng.below(span),
+                };
+                assert_eq!(flat.access(addr), nested.access(addr), "access {i} at {addr:#x}");
+                if rng.chance(1, 50) {
+                    assert_eq!(cache_bytes(&flat), nested.ckpt_save(), "checkpoint after {i}");
+                }
+            }
+            assert_eq!((flat.hits(), flat.misses()), (nested.hits, nested.misses));
+            assert_eq!(flat.resident_lines(), nested.resident_lines());
+            let bytes = cache_bytes(&flat);
+            assert_eq!(bytes, nested.ckpt_save());
+            let mut restored = Cache::new(cfg);
+            load_cache(&mut restored, &bytes).expect("round trip");
+            assert_eq!(cache_bytes(&restored), bytes);
+            for _ in 0..32 {
+                let addr = rng.next_u64();
+                assert_eq!(restored.probe(addr), flat.probe(addr));
+                assert_eq!(restored.access(addr), nested.access(addr));
+            }
+        });
+    }
+
+    #[test]
+    fn ckpt_load_refuses_tags_wider_than_the_address_allows() {
+        // 4 sets of 64 B lines: tags have 64 - 6 - 2 = 56 bits.
+        let mut c = tiny_cache();
+        c.access(u64::MAX);
+        let bytes = cache_bytes(&c);
+        assert_eq!(c.resident_lines(), vec![u64::MAX >> 6]);
+        assert!(load_cache(&mut tiny_cache(), &bytes).is_ok(), "the widest real tag loads");
+        // The first way of set 3 (filled above) holds tag 2^56 - 1;
+        // forge 2^56, then the invalid-way marker itself. Its tag sits
+        // after the five header words, six invalid ways (flag and LRU
+        // stamp each) and its own flag.
+        let tag_at = 5 * 8 + 6 * 9 + 1;
+        for (forged, shown) in [(1u64 << 56, "0x100000000000000"), (u64::MAX, "0xffffffffffffffff")]
+        {
+            let mut b = bytes.clone();
+            b[tag_at..tag_at + 8].copy_from_slice(&forged.to_le_bytes());
+            assert_eq!(
+                load_cache(&mut tiny_cache(), &b),
+                Err(CkptError::Corrupt(format!(
+                    "cache tag {shown} in set 3 way 0 is wider than 56 bits"
+                )))
+            );
+        }
     }
 
     #[test]

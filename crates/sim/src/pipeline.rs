@@ -582,15 +582,9 @@ impl Simulator {
                 c.step(pc.addr(), inst.is_control() || out.next.is_none());
             }
             match out.kind {
-                ArchKind::Cond { taken } => {
-                    // Mirror the detailed lifecycle: predict (speculative
-                    // GHR update), recover on mispredict, train at commit.
-                    let (pred, meta) = st.bpred.predict_cond(pc);
-                    if pred != taken {
-                        st.bpred.recover_cond(meta, taken);
-                    }
-                    st.bpred.train_cond(pc, taken, meta);
-                }
+                // The detailed lifecycle (predict, recover on
+                // mispredict, train at commit) in one call.
+                ArchKind::Cond { taken } => st.bpred.warm_cond(pc, taken),
                 ArchKind::Jalr { target } => {
                     // Probe before updating: a pure read for the
                     // table-based predictors (so the default kinds stay

@@ -11,7 +11,7 @@
 //! cold, and a short detailed interval re-warms it.
 
 use mssr::isa::{regs::*, Assembler};
-use mssr::sim::SimConfig;
+use mssr::sim::{BpredKind, SimConfig};
 use mssr::workloads::{microbench, Suite, Workload};
 
 fn cfg() -> SimConfig {
@@ -45,36 +45,41 @@ fn straightline() -> Workload {
 /// Conditional-predictor state after a full functional run equals the
 /// state after a full detailed run — on the repo's most mispredict-heavy
 /// microbenchmark, so the equality is exercised by thousands of predict /
-/// recover / train cycles, not vacuously.
+/// recover / train cycles, not vacuously — under every table-based
+/// predictor (TAGE-SC-L runs the stepwise warm path; the TAGE kinds run
+/// the fused one).
 #[test]
 fn functional_warmup_matches_detailed_cond_predictor_state() {
     let w = microbench::nested_mispred(300);
-    let mut detailed = w.instantiate(cfg());
-    detailed.run();
-    assert!(detailed.is_halted());
+    for kind in [BpredKind::Tage, BpredKind::TageScl, BpredKind::Ittage] {
+        let cfg = cfg().with_bpred(kind);
+        let mut detailed = w.instantiate(cfg.clone());
+        detailed.run();
+        assert!(detailed.is_halted());
 
-    let mut func = w.instantiate(cfg());
-    let executed = func.fast_forward(u64::MAX);
-    assert!(func.is_halted(), "fast-forward must run the program to its halt");
-    assert_eq!(
-        executed,
-        detailed.stats().committed_instructions,
-        "the functional stream must be the committed stream"
-    );
-    w.verify(&func).expect("fast-forward must apply the architectural effects");
+        let mut func = w.instantiate(cfg);
+        let executed = func.fast_forward(u64::MAX);
+        assert!(func.is_halted(), "{kind}: fast-forward must run the program to its halt");
+        assert_eq!(
+            executed,
+            detailed.stats().committed_instructions,
+            "{kind}: the functional stream must be the committed stream"
+        );
+        w.verify(&func).expect("fast-forward must apply the architectural effects");
 
-    let (tage, bimodal) = func.bpred().cond_occupancy();
-    assert!(tage > 0 && bimodal > 0, "warming must actually populate the predictor");
-    assert_eq!(
-        func.bpred().cond_occupancy(),
-        detailed.bpred().cond_occupancy(),
-        "bpred table occupancy diverged"
-    );
-    assert_eq!(
-        func.bpred().cond_digest(),
-        detailed.bpred().cond_digest(),
-        "bpred table contents diverged"
-    );
+        let (tage, bimodal) = func.bpred().cond_occupancy();
+        assert!(tage > 0 && bimodal > 0, "{kind}: warming must actually populate the predictor");
+        assert_eq!(
+            func.bpred().cond_occupancy(),
+            detailed.bpred().cond_occupancy(),
+            "{kind}: bpred table occupancy diverged"
+        );
+        assert_eq!(
+            func.bpred().cond_digest(),
+            detailed.bpred().cond_digest(),
+            "{kind}: bpred table contents diverged"
+        );
+    }
 }
 
 /// On wrong-path-heavy code the functional cache contents are a subset of
