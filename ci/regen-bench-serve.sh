@@ -18,14 +18,17 @@ cd "$(dirname "$0")/.."
 
 cargo build --release --offline -p mssr-bench >/dev/null
 
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+
 ./target/release/mssr-serve --scale test --experiments table1 \
     --addr 127.0.0.1:0 --jobs 1 --queue-bound 4 --delay-ms 20 \
-    > /tmp/serve-listen.json &
+    > "$tmp/listen.json" &
 server_pid=$!
-trap 'kill "$server_pid" 2>/dev/null || true' EXIT
+trap 'kill "$server_pid" 2>/dev/null || true; rm -rf "$tmp"' EXIT
 
 for _ in $(seq 50); do
-    addr=$(sed -n 's/.*"addr":"\([^"]*\)".*/\1/p' /tmp/serve-listen.json)
+    addr=$(sed -n 's/.*"addr":"\([^"]*\)".*/\1/p' "$tmp/listen.json")
     [ -n "${addr}" ] && break
     sleep 0.1
 done
@@ -36,7 +39,7 @@ done
 
 ./target/release/mssr-serve --shutdown "$addr" >/dev/null
 wait "$server_pid"
-trap - EXIT
+trap 'rm -rf "$tmp"' EXIT
 
 echo "BENCH_serve.json regenerated:"
 cat BENCH_serve.json

@@ -17,16 +17,19 @@ cd "$(dirname "$0")/.."
 
 cargo build --release --offline -p mssr-bench >/dev/null
 
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+
 now_ms() { echo $(( $(date +%s%N) / 1000000 )); }
 
 t0=$(now_ms)
-./target/release/table1 --scale test --json > /tmp/simpoint-full.json
+./target/release/table1 --scale test --json > "$tmp/full.json"
 t1=$(now_ms)
-./target/release/table1 --scale test --json --simpoint 2000,3 > /tmp/simpoint-sampled.json
+./target/release/table1 --scale test --json --simpoint 2000,3 > "$tmp/sampled.json"
 t2=$(now_ms)
 
-summary=$(./target/release/mssr-report /tmp/simpoint-sampled.json \
-    --golden /tmp/simpoint-full.json --max-error 3 | grep '^SIMPOINT ')
+summary=$(./target/release/mssr-report "$tmp/sampled.json" \
+    --golden "$tmp/full.json" --max-error 3 | grep '^SIMPOINT ')
 err=${summary#*max_err_milli=}; err=${err%% *}
 det=${summary#*detailed_milli=}
 

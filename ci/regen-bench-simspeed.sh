@@ -18,11 +18,14 @@ cd "$(dirname "$0")/.."
 
 cargo build --release --offline -p mssr-bench >/dev/null
 
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+
 ./target/release/table1 --scale test --json --profile \
-    > /tmp/simspeed-traj.json 2> /tmp/simspeed-prof.jsonl
+    > "$tmp/traj.json" 2> "$tmp/prof.jsonl"
 
 ./target/release/mssr-simspeed emit \
-    /tmp/simspeed-traj.json /tmp/simspeed-prof.jsonl > BENCH_simspeed.json
+    "$tmp/traj.json" "$tmp/prof.jsonl" > BENCH_simspeed.json
 
 echo "BENCH_simspeed.json regenerated:"
 cat BENCH_simspeed.json

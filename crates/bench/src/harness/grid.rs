@@ -663,8 +663,8 @@ impl CellPool {
         let fresh = || self.fresh_sim(spec, rp.profile);
         let mut sim = fresh();
         // Restores and the fast-forward all run before the sink
-        // attaches: a donor may have checkpointed under a different trace
-        // configuration, and nothing it replays belongs in this stream.
+        // attaches, so a restored start's stream opens, like a cold one,
+        // with the boundary's `ffwd` event and nothing the restore did.
         let mut restored = false;
         if let Some(bytes) = rp.ckpt_mem.and_then(|mem| mem.get(&stem)) {
             match restore_or_renew(&mut sim, &bytes, &fresh) {
@@ -690,17 +690,12 @@ impl CellPool {
             }
         }
         if let Some(t) = trace {
-            sim.set_trace_sink(Box::new(CallbackSink(Rc::clone(t))));
-        }
-        if sim.cycle() == 0 {
-            // A fast-forward boundary, cold or restored: no detailed
-            // cycle is behind it, so this run's sampler plus a re-armed
-            // tracer (which re-emits the fast-forward event into the new
-            // sink) is exactly a cold run's state here, whatever the
-            // snapshot's donor traced or sampled.
-            let mask = if rp.trace || rp.sample == 0 { !0 } else { TraceKind::Sample.bit() };
+            // Checkpoints carry no observer state, so this run's sampler
+            // and sink are a cold run's, whatever the snapshot's donor
+            // traced or sampled.
+            let mask = if rp.trace { !0 } else { TraceKind::Sample.bit() };
             sim.set_sample_interval(rp.sample);
-            sim.rearm_tracing(mask);
+            sim.set_trace_sink(Box::new(CallbackSink(Rc::clone(t))), mask);
         }
         (sim, stem)
     }

@@ -9,7 +9,9 @@
 //! [`PredMeta`] snapshot of the pre-prediction history, the pipeline
 //! stores it per in-flight branch, and squashes restore it exactly.
 //! The oracle predictors reuse the same two recovery tokens (history
-//! snapshot, RAS counter) as feed cursors — see [`OracleFeed`].
+//! snapshot, RAS counter) as feed cursors — see [`OracleFeed`]. Tokens
+//! and cursors count with wrapping arithmetic, so every `u64` a
+//! checkpoint hands back is a legal state: at worst it mispredicts.
 //!
 //! | kind          | conditional            | indirect        |
 //! |---------------|------------------------|-----------------|
@@ -284,7 +286,7 @@ impl IndirectPredictor for IndirDispatch {
     }
 }
 
-/// Return-address stack: a circular buffer indexed by an unbounded
+/// Return-address stack: a circular buffer indexed by a wrapping
 /// top-of-stack counter, so squash recovery only restores the counter.
 #[derive(Clone, Debug)]
 struct Ras {
@@ -300,7 +302,7 @@ impl Ras {
     fn push(&mut self, ret: Pc) {
         let idx = (self.sp % self.entries.len() as u64) as usize;
         self.entries[idx] = ret;
-        self.sp += 1;
+        self.sp = self.sp.wrapping_add(1);
     }
 
     fn pop(&mut self) -> Option<Pc> {

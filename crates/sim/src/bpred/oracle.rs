@@ -108,11 +108,6 @@ impl OracleFeed {
         self.n_cond
     }
 
-    /// Indirect targets recorded.
-    pub fn jalr_len(&self) -> u64 {
-        self.jalr.len() as u64
-    }
-
     pub(crate) fn save(&self, w: &mut CkptWriter) {
         w.u64(self.n_cond);
         for &word in &self.cond_bits {
@@ -197,14 +192,14 @@ macro_rules! cursor_cond {
             fn predict(&mut self, _pc: Pc, feed: Option<&OracleFeed>) -> (bool, PredMeta) {
                 let meta = PredMeta { ghr_before: self.cursor };
                 let pred = feed_cond(feed, self.cursor) ^ $invert;
-                self.cursor += 1;
+                self.cursor = self.cursor.wrapping_add(1);
                 (pred, meta)
             }
 
             fn recover(&mut self, meta: PredMeta, _actual_taken: bool) {
                 // The branch itself survives a squash it caused: its
                 // feed slot stays consumed.
-                self.cursor = meta.ghr_before + 1;
+                self.cursor = meta.ghr_before.wrapping_add(1);
             }
 
             fn train(&mut self, _pc: Pc, _taken: bool, _meta: PredMeta) {}
@@ -259,7 +254,7 @@ impl OracleIndirect {
 impl IndirectPredictor for OracleIndirect {
     fn predict(&mut self, _pc: Pc, feed: Option<&OracleFeed>) -> Option<Pc> {
         let t = feed.and_then(|f| f.jalr(self.cursor));
-        self.cursor += 1;
+        self.cursor = self.cursor.wrapping_add(1);
         t
     }
 

@@ -33,7 +33,7 @@ use crate::types::{PhysReg, Rgid, SeqNum};
 pub const CKPT_MAGIC: [u8; 8] = *b"MSSRCKPT";
 
 /// Current checkpoint format version. Bump on any payload layout change.
-pub const CKPT_VERSION: u32 = 2;
+pub const CKPT_VERSION: u32 = 3;
 
 const ENVELOPE_HEADER: usize = 20;
 const CHECKSUM_BYTES: usize = 8;
@@ -424,10 +424,8 @@ pub(crate) mod machine {
     use crate::lsq::{LqEntry, Lsq, SqEntry};
     use crate::pipeline::Simulator;
     use crate::rob::{BranchOutcome, BranchState, DstInfo, Rob, RobEntry};
-    use crate::sample::Sampler;
     use crate::stage::execute::writeback_ready;
     use crate::stage::{FrontInst, MachineState, PendingFlush};
-    use crate::trace::{CkptAction, TraceEvent, Tracer};
     use crate::types::{FlushKind, FuClass, SeqNum};
 
     /// Payload terminator, checked before [`CkptReader::done`] so a codec
@@ -910,12 +908,7 @@ pub(crate) mod machine {
     /// versioned, checksummed envelope (see the module docs). The
     /// pipeline is captured exactly as it stands, never drained, so a
     /// restored simulator continues bit-identically.
-    pub(crate) fn save(
-        st: &MachineState,
-        engine: &dyn ReuseEngine,
-        sampler: &Sampler,
-        tracer: &Tracer,
-    ) -> Vec<u8> {
+    pub(crate) fn save(st: &MachineState, engine: &dyn ReuseEngine) -> Vec<u8> {
         let mut w = CkptWriter::new();
         w.u64(config_hash(&st.cfg));
         w.u64(program_hash(&st.program));
@@ -935,8 +928,6 @@ pub(crate) mod machine {
         engine.ckpt_save(&mut ew);
         w.bytes(&ew.finish());
 
-        sampler.ckpt_save(&mut w);
-        tracer.ckpt_save(&mut w);
         w.u32(CKPT_END);
 
         super::seal(&w.finish())
@@ -953,8 +944,6 @@ pub(crate) mod machine {
     pub(crate) fn restore(
         st: &mut MachineState,
         engine: &mut dyn ReuseEngine,
-        sampler: &mut Sampler,
-        tracer: &mut Tracer,
         bytes: &[u8],
     ) -> Result<(), CkptError> {
         let payload = super::open(bytes)?;
@@ -987,19 +976,10 @@ pub(crate) mod machine {
         engine.ckpt_load(&mut er)?;
         er.done()?;
 
-        sampler.ckpt_load(&mut r)?;
-        tracer.ckpt_load(&mut r)?;
         if r.u32()? != CKPT_END {
             return Err(CkptError::Corrupt("missing end marker".into()));
         }
-        r.done()?;
-
-        tracer.emit(TraceEvent::Ckpt {
-            cycle: st.cycle,
-            action: CkptAction::Restore,
-            insts: st.stats.committed_instructions,
-        });
-        Ok(())
+        r.done()
     }
 
     #[cfg(test)]
@@ -1298,6 +1278,15 @@ mod tests {
             open(&file).unwrap_err(),
             CkptError::BadVersion { found: CKPT_VERSION + 1, expect: CKPT_VERSION }
         );
+    }
+
+    #[test]
+    fn version_2_files_are_refused() {
+        // Version 2 payloads ended in the sampler and tracer sections;
+        // a reader of version 3 must name the skew, not misparse them.
+        let mut file = seal(&[1, 2, 3]);
+        file[8..12].copy_from_slice(&2u32.to_le_bytes());
+        assert_eq!(open(&file).unwrap_err(), CkptError::BadVersion { found: 2, expect: 3 });
     }
 
     #[test]

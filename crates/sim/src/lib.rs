@@ -99,7 +99,7 @@ pub use pipeline::Simulator;
 pub use prof::{Prof, ProfBucket, ProfReport, StageStamp, DEFAULT_STRIDE as PROF_DEFAULT_STRIDE};
 pub use rename::{FreeList, Prf, Rat, RgidAlloc};
 pub use rob::{BranchOutcome, BranchState, DstInfo, Rob, RobEntry};
-pub use sample::{Sample, SampleRing, Sampler, DEFAULT_RING_CAPACITY};
+pub use sample::Sample;
 pub use stats::{json_escape, EngineStats, SimStats};
 pub use trace::{BufferSink, CkptAction, TraceEvent, TraceKind, TraceSink};
 pub use types::{FlushKind, FuClass, PhysReg, Rgid, SeqNum};

@@ -24,7 +24,7 @@ use crate::interp::{arch_step, ArchKind, ArchState};
 use crate::mem::{Hierarchy, MainMemory};
 use crate::prof::{Prof, ProfBucket, ProfReport, StageStamp};
 use crate::rename::{Prf, Rat};
-use crate::sample::{Sample, SampleRing, Sampler, DEFAULT_RING_CAPACITY};
+use crate::sample::{Sample, Sampler};
 use crate::stage::{self, ectx, MachineState, PendingFlush, Scratch};
 use crate::stats::SimStats;
 use crate::trace::{CkptAction, TraceEvent, TraceKind, TraceSink, Tracer};
@@ -101,7 +101,7 @@ impl Simulator {
             st: MachineState::new(cfg, program),
             engine,
             tracer: Tracer::default(),
-            sampler: Sampler::new(0, DEFAULT_RING_CAPACITY),
+            sampler: Sampler::new(0),
             scratch: Scratch::new(),
             prof: Prof::off(),
         }
@@ -201,11 +201,27 @@ impl Simulator {
         (self.st.rat.lookup(a), self.st.rat.rgid(a))
     }
 
-    /// Attaches a trace sink: from the next cycle on, every pipeline
-    /// event is recorded into it (see [`TraceEvent`] for the schema).
-    /// Replaces — and flushes — any previously attached sink.
-    pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
+    /// Attaches a trace sink recording the event kinds in `mask` (a
+    /// bitwise OR of [`TraceKind::bit`] values; `!0` records every
+    /// kind): from the next cycle on, every such pipeline event is
+    /// recorded into it (see [`TraceEvent`] for the schema). Replaces —
+    /// and flushes — any previously attached sink.
+    ///
+    /// A sink attached at a fast-forward boundary — after
+    /// [`Simulator::fast_forward`], or after restoring a snapshot taken
+    /// there, before any detailed cycle — first receives the boundary's
+    /// `ffwd` [`TraceEvent::Ckpt`] event, so it records the same stream
+    /// as a sink attached before the fast-forward.
+    pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>, mask: u64) {
         self.tracer.set_sink(sink);
+        self.tracer.set_mask(mask);
+        if self.st.cycle == 0 && self.st.stats.ffwd_insts > 0 {
+            self.tracer.emit(TraceEvent::Ckpt {
+                cycle: 0,
+                action: CkptAction::Ffwd,
+                insts: self.st.stats.ffwd_insts,
+            });
+        }
     }
 
     /// Detaches and flushes the trace sink, if any. Event counters keep
@@ -215,18 +231,11 @@ impl Simulator {
     }
 
     /// Enables interval sampling: every `interval` cycles a [`Sample`] of
-    /// statistics deltas is recorded into the sample ring and emitted as
-    /// a [`TraceEvent::Sample`] if a trace sink is attached. `0` (the
-    /// default) disables sampling. Resets any previously recorded
-    /// samples.
+    /// statistics deltas is emitted as a [`TraceEvent::Sample`] if a
+    /// trace sink is attached. `0` (the default) disables sampling.
+    /// Resets the delta baseline, so the next sample counts from zero.
     pub fn set_sample_interval(&mut self, interval: u64) {
-        self.sampler = Sampler::new(interval, DEFAULT_RING_CAPACITY);
-    }
-
-    /// The interval samples recorded so far (empty unless
-    /// [`Simulator::set_sample_interval`] enabled sampling).
-    pub fn samples(&self) -> &SampleRing {
-        self.sampler.ring()
+        self.sampler = Sampler::new(interval);
     }
 
     /// The CPI-stack account accumulated so far (see [`crate::account`]).
@@ -442,14 +451,16 @@ impl Simulator {
     /// versioned, checksummed envelope (see [`crate::ckpt`]). The
     /// pipeline is captured exactly as it stands, never drained, so a
     /// restored simulator continues bit-identically: same cycle counts,
-    /// same statistics, same trace from the restore point onward.
+    /// same statistics, same trace from the restore point onward. Only
+    /// the machine is captured, never the observers: the trace sink,
+    /// mask and event counters and the sampler are the restoring
+    /// simulator's own.
     ///
     /// Instructions are stored by PC and re-fetched from the program at
     /// restore, guarded by a program identity hash in the payload.
     pub fn snapshot(&self) -> Vec<u8> {
         let t0 = self.prof.begin();
-        let bytes =
-            ckpt::machine::save(&self.st, self.engine.as_ref(), &self.sampler, &self.tracer);
+        let bytes = ckpt::machine::save(&self.st, self.engine.as_ref());
         self.prof.finish(ProfBucket::Ckpt, t0);
         bytes
     }
@@ -460,55 +471,25 @@ impl Simulator {
     /// in the payload — mismatches are rejected before any state is
     /// touched, as are all envelope corruptions).
     ///
+    /// The observers are left as they were: an attached trace sink
+    /// keeps its mask and counters and records one `restore`
+    /// [`TraceEvent::Ckpt`] event, and the sampler keeps its interval
+    /// and delta baseline.
+    ///
     /// On a mid-payload [`CkptError::Corrupt`] the simulator may be
     /// partially overwritten and must be discarded; no error path leaves
     /// a *silently* inconsistent simulator.
     pub fn restore(&mut self, bytes: &[u8]) -> Result<(), CkptError> {
         let t0 = self.prof.begin();
-        let r = ckpt::machine::restore(
-            &mut self.st,
-            self.engine.as_mut(),
-            &mut self.sampler,
-            &mut self.tracer,
-            bytes,
-        );
+        let r = ckpt::machine::restore(&mut self.st, self.engine.as_mut(), bytes);
         self.prof.finish(ProfBucket::Ckpt, t0);
-        r
-    }
-
-    /// Re-arms event tracing after restoring a *fast-forward boundary*
-    /// snapshot into a run whose trace configuration differs from the
-    /// donor's (the serve path shares boundary snapshots across
-    /// sampling modes). The checkpoint envelope restores the donor's
-    /// trace mask and per-kind counters ([`Tracer`] state) — correct
-    /// when resuming the same run, wrong for a recipient that filters
-    /// different kinds: without this, a sample-masked run restored from
-    /// an unmasked donor records the full event firehose. This zeroes
-    /// the counters, installs `mask`, and re-emits the fast-forward
-    /// `Ckpt` event a cold run would have produced under the recipient's
-    /// own sink and mask, making statistics and event stream
-    /// byte-identical to a cold run of this configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics when detailed cycles have already been simulated: mid-run
-    /// restores carry event counters that cannot be reconstructed, so
-    /// they may only resume under the donor's own configuration.
-    pub fn rearm_tracing(&mut self, mask: u64) {
-        assert!(
-            self.st.cycle == 0,
-            "rearm_tracing is only valid at a fast-forward boundary (cycle {})",
-            self.st.cycle
-        );
-        self.tracer.reset_counts();
-        self.tracer.set_mask(mask);
-        if self.st.stats.ffwd_insts > 0 {
-            self.tracer.emit(TraceEvent::Ckpt {
-                cycle: self.st.cycle,
-                action: CkptAction::Ffwd,
-                insts: self.st.stats.ffwd_insts,
-            });
-        }
+        r?;
+        self.tracer.emit(TraceEvent::Ckpt {
+            cycle: self.st.cycle,
+            action: CkptAction::Restore,
+            insts: self.st.stats.committed_instructions,
+        });
+        Ok(())
     }
 
     /// Functionally fast-forwards `n` instructions through the shared
@@ -666,5 +647,75 @@ impl ArchState for FfwdState<'_> {
 
     fn wrap(&self, addr: u64) -> u64 {
         self.memory.wrap(addr)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use mssr_isa::{regs::*, Assembler};
+
+    use super::*;
+    use crate::bpred::BpredKind;
+    use crate::ckpt::{seal, CkptWriter};
+
+    /// The RAS counter and the oracle cursors are recovery tokens, not
+    /// indices: a checkpoint that hands them `u64::MAX` restores, and
+    /// the run wraps past it to halt (debug builds would panic on an
+    /// unchecked `+ 1`).
+    #[test]
+    fn saturated_recovery_tokens_in_a_checkpoint_run_to_halt() {
+        let mut a = Assembler::new();
+        a.li(S0, 0);
+        a.li(S1, 200);
+        a.label("loop");
+        a.call("f");
+        a.addi(S0, S0, 1);
+        a.blt(S0, S1, "loop");
+        a.st(ZERO, S2, 0x200);
+        a.halt();
+        a.label("f");
+        a.addi(S2, S2, 2);
+        a.ret();
+        let program = a.assemble().expect("assembles");
+        for kind in [BpredKind::Tage, BpredKind::Oracle] {
+            let cfg = SimConfig::default().with_max_cycles(100_000).with_bpred(kind);
+            // Several snapshot points, so some restored run pushes onto
+            // the patched counter before a squash restores an older one.
+            for at_cycle in (20..200).step_by(9) {
+                let mut sim = Simulator::new(cfg.clone(), program.clone());
+                sim.run_cycles(at_cycle);
+                assert!(!sim.is_halted(), "{kind}: the snapshot must be taken mid-run");
+                let bytes = sim.snapshot();
+                let mut w = CkptWriter::new();
+                sim.st.bpred.ckpt_save(&mut w);
+                let section = w.finish();
+                let mut payload = bytes[20..bytes.len() - 8].to_vec();
+                let at = payload
+                    .windows(section.len())
+                    .position(|win| win == section)
+                    .expect("the predictor section is in the payload");
+                // The patched counters' offsets in the predictor's
+                // section: the oracle's conditional and indirect cursors
+                // follow the kind tag; the RAS counter sits before the
+                // one-byte "no feed" flag.
+                let offsets = match kind {
+                    BpredKind::Oracle => vec![1, 9],
+                    _ => vec![section.len() - 9],
+                };
+                for off in offsets {
+                    payload[at + off..at + off + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+                }
+                let mut back = Simulator::new(cfg.clone(), program.clone());
+                back.restore(&seal(&payload)).expect("every counter value is a legal state");
+                assert_eq!(back.bpred().ras_sp(), u64::MAX, "{kind}: the patched token restored");
+                back.run();
+                assert!(back.is_halted(), "{kind}@{at_cycle}: the restored run halts");
+                assert_eq!(
+                    back.read_mem_u64(0x200),
+                    400,
+                    "{kind}@{at_cycle}: architectural result"
+                );
+            }
+        }
     }
 }

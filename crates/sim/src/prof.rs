@@ -27,7 +27,7 @@
 //! reads or writes [`MachineState`](crate::stage::MachineState), the
 //! tracer, the sampler, or the statistics, and nothing in the simulation
 //! branches on it. Checkpoints don't serialize it (the envelope captures
-//! machine state, engine, sampler, and tracer only), trajectories don't
+//! machine state and engine only), trajectories don't
 //! embed it (the harness emits profile records on stderr), and the
 //! stage functions themselves are unchanged — the orchestrator merely
 //! reads the clock between calls. Trajectories, traces, and checkpoints

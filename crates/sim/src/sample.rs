@@ -3,17 +3,13 @@
 //! Every N cycles the pipeline snapshots a handful of cheap cumulative
 //! counters and records the *delta* since the previous snapshot as one
 //! [`Sample`] — the per-interval view the `mssr-report` sparklines and
-//! phase analyses consume. Samples travel two ways at once: into a
-//! bounded in-memory [`SampleRing`] (inspectable after the run via
-//! `Simulator::samples`) and through the ordinary trace machinery as
-//! [`TraceEvent::Sample`](crate::TraceEvent) records, which is how the
-//! harness's `--sample N` flag emits them into the JSON-lines
-//! trajectory. Both paths carry only deterministic integer counters, so
-//! sample streams are byte-identical across runs and `--jobs` values.
+//! phase analyses consume. Samples leave the simulator only through the
+//! ordinary trace machinery, as [`TraceEvent::Sample`](crate::TraceEvent)
+//! records, which is how the harness's `--sample N` flag emits them into
+//! the JSON-lines trajectory. They carry only deterministic integer
+//! counters, so sample streams are byte-identical across runs and
+//! `--jobs` values.
 
-use std::collections::VecDeque;
-
-use crate::ckpt::{CkptError, CkptReader, CkptWriter};
 use crate::stats::{fold, json_members, stats_record};
 
 stats_record! {
@@ -54,21 +50,6 @@ impl Sample {
         out
     }
 
-    pub(crate) fn ckpt_save(&self, w: &mut CkptWriter) {
-        w.u64(self.cycle);
-        for (_, v) in self.counters() {
-            w.u64(v);
-        }
-    }
-
-    pub(crate) fn ckpt_load(r: &mut CkptReader) -> Result<Sample, CkptError> {
-        let mut s = Sample { cycle: r.u64()?, ..Sample::default() };
-        for (_, v) in s.counters_mut() {
-            *v = r.u64()?;
-        }
-        Ok(s)
-    }
-
     /// Counter-wise difference `self - prev` (cumulative snapshots in,
     /// interval delta out); `cycle` keeps `self`'s value.
     fn delta_from(&self, prev: &Sample) -> Sample {
@@ -78,72 +59,18 @@ impl Sample {
     }
 }
 
-/// A bounded ring of the most recent samples (drop-oldest).
+/// The pipeline's interval sampler: an interval and the cumulative
+/// snapshot the next delta is taken from.
 #[derive(Clone, Debug)]
-pub struct SampleRing {
-    ring: VecDeque<Sample>,
-    capacity: usize,
-    dropped: u64,
-}
-
-impl SampleRing {
-    /// A ring holding at most `capacity` samples (at least 1).
-    pub fn new(capacity: usize) -> SampleRing {
-        SampleRing { ring: VecDeque::new(), capacity: capacity.max(1), dropped: 0 }
-    }
-
-    /// Appends a sample, evicting the oldest when full.
-    pub fn push(&mut self, s: Sample) {
-        if self.ring.len() == self.capacity {
-            self.ring.pop_front();
-            self.dropped += 1;
-        }
-        self.ring.push_back(s);
-    }
-
-    /// The retained samples, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &Sample> {
-        self.ring.iter()
-    }
-
-    /// Number of samples evicted to respect the capacity bound.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Number of retained samples.
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// Whether no samples are retained.
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
-    }
-}
-
-/// The pipeline's interval sampler: an interval, a delta baseline, and
-/// the ring of recent samples.
-#[derive(Clone, Debug)]
-pub struct Sampler {
+pub(crate) struct Sampler {
     interval: u64,
     last: Sample,
-    ring: SampleRing,
 }
-
-/// Default ring capacity: enough for a 400M-cycle run sampled every
-/// 100k cycles before eviction starts.
-pub const DEFAULT_RING_CAPACITY: usize = 4096;
 
 impl Sampler {
     /// A sampler firing every `interval` cycles (`0` disables it).
-    pub fn new(interval: u64, capacity: usize) -> Sampler {
-        Sampler { interval, last: Sample::default(), ring: SampleRing::new(capacity) }
-    }
-
-    /// The sampling interval (`0` = disabled).
-    pub fn interval(&self) -> u64 {
-        self.interval
+    pub fn new(interval: u64) -> Sampler {
+        Sampler { interval, last: Sample::default() }
     }
 
     /// Whether a sample is due at `cycle`.
@@ -151,47 +78,12 @@ impl Sampler {
         self.interval > 0 && cycle.is_multiple_of(self.interval)
     }
 
-    /// Converts a *cumulative* snapshot into an interval delta, records
-    /// it, and returns it (for emission as a trace event).
+    /// Converts a *cumulative* snapshot into an interval delta and
+    /// returns it (for emission as a trace event).
     pub fn record(&mut self, cumulative: Sample) -> Sample {
         let delta = cumulative.delta_from(&self.last);
         self.last = cumulative;
-        self.ring.push(delta);
         delta
-    }
-
-    /// The retained samples.
-    pub fn ring(&self) -> &SampleRing {
-        &self.ring
-    }
-
-    pub(crate) fn ckpt_save(&self, w: &mut CkptWriter) {
-        w.u64(self.interval);
-        self.last.ckpt_save(w);
-        w.u64(self.ring.capacity as u64);
-        w.u64(self.ring.dropped);
-        w.u64(self.ring.ring.len() as u64);
-        for s in &self.ring.ring {
-            s.ckpt_save(w);
-        }
-    }
-
-    pub(crate) fn ckpt_load(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
-        self.interval = r.u64()?;
-        self.last = Sample::ckpt_load(r)?;
-        let capacity = r.u64()? as usize;
-        self.ring = SampleRing::new(capacity);
-        self.ring.dropped = r.u64()?;
-        let n = r.seq_len(56)?;
-        if n > capacity {
-            return Err(CkptError::Corrupt(format!(
-                "{n} samples in checkpoint exceed ring capacity {capacity}"
-            )));
-        }
-        for _ in 0..n {
-            self.ring.ring.push_back(Sample::ckpt_load(r)?);
-        }
-        Ok(())
     }
 }
 
@@ -218,53 +110,14 @@ mod tests {
     }
 
     #[test]
-    fn distinct_sample_ckpt_bytes_are_pinned() {
-        // The cumulative sample `take_sample` builds from
-        // `stats::distinct_record` (`grants` is the engine's grant count,
-        // `squash_slots` the squash-branch account slot).
-        let s = Sample {
-            cycle: 101,
-            insts: 102,
-            mispredicts: 105,
-            squashed: 107,
-            grants: 202,
-            l1_misses: 116,
-            squash_slots: 403,
-        };
-        let mut w = CkptWriter::new();
-        s.ckpt_save(&mut w);
-        let bytes = w.finish();
-        let mut want = CkptWriter::new();
-        for v in [101, 102, 105, 107, 202, 116, 403] {
-            want.u64(v);
-        }
-        assert_eq!(bytes, want.finish());
-        assert_eq!(Sample::ckpt_load(&mut CkptReader::new(&bytes)).unwrap(), s);
-    }
-
-    #[test]
     fn sampler_records_deltas_not_cumulatives() {
-        let mut s = Sampler::new(100, 8);
+        let mut s = Sampler::new(100);
         assert!(s.due(100));
         assert!(!s.due(150));
-        assert!(!Sampler::new(0, 8).due(100), "interval 0 never fires");
+        assert!(!Sampler::new(0).due(100), "interval 0 never fires");
         let d1 = s.record(Sample { cycle: 100, insts: 50, ..Sample::default() });
         assert_eq!((d1.cycle, d1.insts), (100, 50));
         let d2 = s.record(Sample { cycle: 200, insts: 80, grants: 7, ..Sample::default() });
         assert_eq!((d2.cycle, d2.insts, d2.grants), (200, 30, 7));
-        assert_eq!(s.ring().len(), 2);
-    }
-
-    #[test]
-    fn ring_drops_oldest_beyond_capacity() {
-        let mut r = SampleRing::new(2);
-        for c in [1u64, 2, 3] {
-            r.push(Sample { cycle: c, ..Sample::default() });
-        }
-        assert_eq!(r.len(), 2);
-        assert_eq!(r.dropped(), 1);
-        let cycles: Vec<u64> = r.iter().map(|s| s.cycle).collect();
-        assert_eq!(cycles, [2, 3]);
-        assert!(!r.is_empty());
     }
 }

@@ -64,8 +64,9 @@ pub(crate) struct PendingFlush {
 }
 
 /// The complete machine state of one simulated core — everything the
-/// stages read and write, and exactly what a checkpoint captures (the
-/// engine, tracer and sampler ride alongside it in `Simulator`).
+/// stages read and write. A checkpoint captures exactly this plus the
+/// engine's state; the tracer and sampler ride alongside it in
+/// `Simulator` as observers and are never checkpointed.
 ///
 /// Ownership rules: stages receive `&mut MachineState` and may touch any
 /// field; the engine is always passed separately so engine hooks can

@@ -23,7 +23,6 @@ use std::sync::{Arc, Mutex};
 
 use mssr_isa::Pc;
 
-use crate::ckpt::{CkptError, CkptReader, CkptWriter};
 use crate::sample::Sample;
 use crate::types::{FlushKind, FuClass, SeqNum};
 
@@ -437,40 +436,6 @@ impl Tracer {
     pub fn count(&self, kind: TraceKind) -> u64 {
         self.counts[kind.index()]
     }
-
-    /// Zeroes every per-kind counter. Used when re-arming tracing after
-    /// a checkpoint restore into a differently-configured run, where the
-    /// restored counters describe the donor's filtering, not ours.
-    pub fn reset_counts(&mut self) {
-        self.counts = [0; TraceKind::COUNT];
-    }
-
-    /// Serializes the counters and mask. The sink is deliberately not
-    /// serialized: sinks hold live I/O handles, and a restored run
-    /// attaches its own (or none).
-    pub fn ckpt_save(&self, w: &mut CkptWriter) {
-        w.u64(self.mask);
-        w.u64(self.counts.len() as u64);
-        for &c in &self.counts {
-            w.u64(c);
-        }
-    }
-
-    /// Restores the counters and mask; leaves the current sink as is.
-    pub fn ckpt_load(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
-        self.mask = r.u64()?;
-        let n = r.seq_len(8)?;
-        if n != TraceKind::COUNT {
-            return Err(CkptError::Corrupt(format!(
-                "{n} trace counters in checkpoint, expected {}",
-                TraceKind::COUNT
-            )));
-        }
-        for c in &mut self.counts {
-            *c = r.u64()?;
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -610,62 +575,5 @@ mod tests {
         t.set_mask(!0);
         t.emit(sample()[0]);
         assert_eq!(t.count(TraceKind::Fetch), 1);
-    }
-
-    #[test]
-    fn tracer_state_round_trips_through_checkpoint() {
-        let mut t = Tracer::default();
-        t.set_sink(Box::new(BufferSink::new()));
-        t.set_mask(TraceKind::Commit.bit() | TraceKind::Ckpt.bit());
-        for ev in sample() {
-            t.emit(ev);
-        }
-        let mut w = CkptWriter::new();
-        t.ckpt_save(&mut w);
-        let bytes = w.finish();
-
-        let mut back = Tracer::default();
-        let mut r = CkptReader::new(&bytes);
-        back.ckpt_load(&mut r).unwrap();
-        r.done().unwrap();
-        assert_eq!(back.count(TraceKind::Commit), 1);
-        assert_eq!(back.count(TraceKind::Ckpt), 1);
-        assert_eq!(back.count(TraceKind::Fetch), 0);
-        assert!(!back.on(), "sinks are not serialized");
-        // The restored mask still filters: a fetch event is dropped.
-        back.set_sink(Box::new(BufferSink::new()));
-        back.emit(sample()[0]);
-        assert_eq!(back.count(TraceKind::Fetch), 0);
-    }
-
-    #[test]
-    fn reset_counts_clears_every_kind_but_keeps_the_sink_and_mask() {
-        let mut t = Tracer::default();
-        t.set_sink(Box::new(BufferSink::new()));
-        t.set_mask(TraceKind::Sample.bit());
-        for ev in sample() {
-            t.emit(ev);
-        }
-        assert_eq!(t.count(TraceKind::Sample), 1);
-        t.reset_counts();
-        for k in TraceKind::ALL {
-            assert_eq!(t.count(k), 0, "{k:?} must reset");
-        }
-        assert!(t.on(), "the sink survives a counter reset");
-        // The mask survives too: a masked fetch still goes uncounted, a
-        // sample event counts again from zero.
-        t.emit(sample()[0]);
-        assert_eq!(t.count(TraceKind::Fetch), 0);
-        assert_eq!(t.count(TraceKind::Sample), 0);
-        t.emit(TraceEvent::Sample(Sample {
-            cycle: 8,
-            insts: 1,
-            mispredicts: 0,
-            squashed: 0,
-            grants: 0,
-            l1_misses: 0,
-            squash_slots: 0,
-        }));
-        assert_eq!(t.count(TraceKind::Sample), 1);
     }
 }

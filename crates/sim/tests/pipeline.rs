@@ -321,7 +321,7 @@ fn trace_events_are_recorded_and_counted() {
     let mut sim = Simulator::new(SimConfig::default().with_max_cycles(100_000), program);
     let sink = BufferSink::new();
     let buf = sink.handle();
-    sim.set_trace_sink(Box::new(sink));
+    sim.set_trace_sink(Box::new(sink), !0);
     sim.run();
     assert!(sim.take_trace_sink().is_some());
     let stats = sim.stats();
@@ -374,56 +374,71 @@ fn clean_run_has_no_invariant_violations() {
     assert!(violations.is_empty(), "unexpected violations: {violations:?}");
 }
 
+/// Checkpoints carry the machine, not the observers: a fast-forward
+/// boundary snapshot taken under one trace mask and sample interval,
+/// restored under the other, records exactly the lines and `trace_*`
+/// counters of a cold run of the recipient's configuration — in both
+/// directions.
 #[test]
-fn rearm_tracing_reasserts_the_recipient_mask_at_a_boundary() {
-    let build = |a: &mut Assembler| {
-        a.li(T0, 0);
-        a.li(T1, 32);
-        a.label("loop");
-        a.addi(T0, T0, 1);
-        a.blt(T0, T1, "loop");
-        a.halt();
-    };
+fn boundary_restore_traces_like_a_cold_run_of_the_recipient() {
     let mut a = Assembler::new();
-    build(&mut a);
+    a.li(T0, 0);
+    a.li(T1, 400);
+    a.label("loop");
+    a.addi(T0, T0, 1);
+    a.andi(T2, T0, 3);
+    a.beq(T2, ZERO, "skip");
+    a.st(ZERO, T0, 0x300);
+    a.label("skip");
+    a.blt(T0, T1, "loop");
+    a.halt();
     let program = a.assemble().expect("assembles");
-    let cfg = SimConfig::default().with_max_cycles(100_000);
-    let mut sim = Simulator::new(cfg, program);
-    let sink = BufferSink::new();
-    let buf = sink.handle();
-    sim.set_trace_sink(Box::new(sink));
-    let executed = sim.fast_forward(10);
-    assert_eq!(executed, 10);
-    let lines = || buf.lock().unwrap().lines().count();
-    assert_eq!(lines(), 1, "the fast-forward emits one ckpt event under the donor's full mask");
-    assert_eq!(sim_trace_count(&sim.stats(), TraceKind::Ckpt), 1);
-
-    // Narrowed recipient (samples only, the serve sampling mask): every
-    // counter pins to zero and the ffwd event is NOT re-emitted — its
-    // kind is filtered, exactly as a cold sample-masked run would have
-    // filtered it.
-    sim.rearm_tracing(TraceKind::Sample.bit());
-    let narrowed = sim.stats();
-    for k in TraceKind::ALL {
-        assert_eq!(sim_trace_count(&narrowed, k), 0, "narrowed mask pins trace_{}", k.name());
-    }
-    assert_eq!(lines(), 1, "a masked-off ckpt event must not reach the sink");
-
-    // Widened recipient (full firehose): counters restart from zero and
-    // the ffwd ckpt event is re-emitted once under the new mask, so the
-    // event stream matches a cold unmasked run's boundary prefix.
-    sim.rearm_tracing(!0);
-    let widened = sim.stats();
-    assert_eq!(sim_trace_count(&widened, TraceKind::Ckpt), 1, "ffwd event re-emitted exactly once");
-    for k in TraceKind::ALL {
-        if k != TraceKind::Ckpt {
-            assert_eq!(sim_trace_count(&widened, k), 0, "only the boundary event exists");
+    // Runs one observer configuration to halt, cold (the sink attached
+    // before the fast-forward) or from `boundary` (the sink attached
+    // after the restore). Returns the trace, the `trace_*` counters and
+    // the snapshot taken at the boundary.
+    let run = |(mask, interval): (u64, u64), boundary: Option<&[u8]>| {
+        let mut sim =
+            Simulator::new(SimConfig::default().with_max_cycles(100_000), program.clone());
+        sim.set_sample_interval(interval);
+        let sink = BufferSink::new();
+        let buf = sink.handle();
+        match boundary {
+            None => {
+                sim.set_trace_sink(Box::new(sink), mask);
+                assert_eq!(sim.fast_forward(300), 300);
+            }
+            Some(bytes) => {
+                sim.restore(bytes).expect("boundary snapshot restores");
+                sim.set_trace_sink(Box::new(sink), mask);
+            }
         }
+        let snap = sim.snapshot();
+        sim.run();
+        assert!(sim.take_trace_sink().is_some());
+        let stats = sim.stats();
+        let counts = TraceKind::ALL.map(|k| sim_trace_count(&stats, k));
+        let trace = buf.lock().unwrap().clone();
+        (trace, counts, snap)
+    };
+    let full = (!0, 0);
+    let samples = (TraceKind::Sample.bit(), 50);
+    let (full_trace, full_counts, full_snap) = run(full, None);
+    let (sample_trace, sample_counts, sample_snap) = run(samples, None);
+    assert!(full_trace.starts_with("{\"ev\":\"ckpt\""), "the stream opens at the boundary");
+    assert_eq!(full_counts[TraceKind::Ckpt.index()], 1);
+    assert!(full_counts[TraceKind::Commit.index()] > 0);
+    assert_eq!(full_counts[TraceKind::Sample.index()], 0);
+    assert!(sample_counts[TraceKind::Sample.index()] >= 2, "fixture: several intervals sampled");
+    assert_eq!(sample_counts.iter().sum::<u64>(), sample_counts[TraceKind::Sample.index()]);
+    assert_eq!(full_snap, sample_snap, "observer state stays out of the snapshot");
+
+    for (donor, recipient, cold_trace, cold_counts) in [
+        (&full_snap, samples, &sample_trace, sample_counts),
+        (&sample_snap, full, &full_trace, full_counts),
+    ] {
+        let (trace, counts, _) = run(recipient, Some(donor));
+        assert_eq!(trace, *cold_trace, "{recipient:?}: restored stream differs from cold");
+        assert_eq!(counts, cold_counts, "{recipient:?}: trace_* counters differ from cold");
     }
-    assert_eq!(lines(), 2, "the re-emitted event reaches the sink");
-    let last = buf.lock().unwrap().lines().last().unwrap().to_string();
-    assert!(
-        last.contains("\"ev\":\"ckpt\"") && last.contains("\"ffwd\""),
-        "boundary event: {last}"
-    );
 }
