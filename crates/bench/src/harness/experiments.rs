@@ -10,6 +10,7 @@ use mssr_sim::{BpredKind, SimConfig};
 use mssr_workloads::{microbench, suite_workloads, Scale, Suite};
 
 use super::grid::{CellId, CellPool, CellResult, EngineCfg};
+use super::profile_record;
 use crate::{experiment_sim_config, render_csv, render_table, speedup_pct, EngineSpec};
 
 /// One regenerated table or figure.
@@ -634,7 +635,8 @@ impl Experiment for Rollup {
                     let mut mips: Vec<u64> = ids
                         .iter()
                         .filter(|&&id| pool.cell_spec(id).engine.label() == *l)
-                        .filter_map(|&id| results[id].sim_mips_milli())
+                        .filter_map(|&id| profile_record(pool, id, &results[id]))
+                        .map(|p| p.sim_mips_milli())
                         .collect();
                     mips.sort_unstable();
                     vec![

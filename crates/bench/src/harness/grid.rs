@@ -12,12 +12,13 @@ use std::time::Instant;
 
 use mssr_core::{MemCheckPolicy, MssrConfig, MultiStreamReuse, RegisterIntegration, RiConfig};
 use mssr_sim::{
-    fnv1a64, BbvCollector, BpredKind, CkptError, CycleAccount, ProfReport, ReuseEngine, SimConfig,
-    SimStats, Simulator, TraceEvent, TraceKind, TraceSink, PROF_DEFAULT_STRIDE,
+    fnv1a64, BbvCollector, BpredKind, CkptError, ProfReport, ReuseEngine, SimConfig, SimStats,
+    Simulator, TraceEvent, TraceKind, TraceSink, PROF_DEFAULT_STRIDE,
 };
 use mssr_workloads::{Scale, Workload};
 
 use super::metrics::warn;
+use super::report::{CellProfile, SimpointCellResult, SimpointRep};
 use super::simpoint::{self, SimpointPlan};
 use super::{cell_seed, splitmix64, HarnessOpts};
 use crate::EngineSpec;
@@ -168,73 +169,6 @@ pub struct CellResult {
     /// machine-dependent, which is why the harness emits it on stderr,
     /// never into the trajectory.
     pub profile: Option<CellProfile>,
-}
-
-impl CellResult {
-    /// Host throughput in thousandths of simulated MIPS, from the
-    /// `--profile` wall time (the figure `ProfileRecord::sim_mips_milli`
-    /// reads back from the profile record); `None` unprofiled.
-    pub(crate) fn sim_mips_milli(&self) -> Option<u64> {
-        let p = self.profile.as_ref()?;
-        Some(self.stats.committed_instructions.saturating_mul(1000) / p.total_us.max(1))
-    }
-}
-
-/// One cell's self-profile: the simulator's per-bucket wall-clock
-/// attribution plus the cell's total wall time (the sim-MIPS and
-/// cycles-per-second denominator).
-#[derive(Clone, Debug)]
-pub struct CellProfile {
-    /// Whole-cell wall time in microseconds (≥ 1).
-    pub total_us: u64,
-    /// Per-stage sampled nanoseconds and whole-call ckpt/ffwd/bbv
-    /// timings (see [`mssr_sim::ProfBucket`]).
-    pub report: ProfReport,
-}
-
-/// One representative interval's detailed measurement under `--simpoint`.
-#[derive(Clone, Debug)]
-pub struct SimpointRep {
-    /// Interval index in the BBV trace.
-    pub index: u64,
-    /// First instruction of the interval (the measurement start; the
-    /// detailed run begins `warmup_insts` earlier).
-    pub start_inst: u64,
-    /// Instructions the plan assigned to the interval.
-    pub planned_insts: u64,
-    /// Cluster weight: instructions across the cluster's members.
-    pub weight_insts: u64,
-    /// Mean normalized-L1 BBV distance of cluster members to this
-    /// representative, in thousandths (the error-bound input).
-    pub spread_milli: u64,
-    /// Detailed warmup instructions run before the measured region
-    /// (their counters are excluded from `cycles`/`insts`/`account` but
-    /// count against the detailed-simulation budget).
-    pub warmup_insts: u64,
-    /// Detailed cycles simulated in the measured region.
-    pub cycles: u64,
-    /// Detailed instructions committed in the measured region (the
-    /// plan's count, give or take commit-width overshoot on the stop
-    /// boundaries).
-    pub insts: u64,
-    /// The measured region's CPI-stack account.
-    pub account: CycleAccount,
-}
-
-/// A cell's `--simpoint` record: the plan plus per-representative
-/// measurements.
-#[derive(Clone, Debug)]
-pub struct SimpointCellResult {
-    /// Interval length in instructions.
-    pub interval: u64,
-    /// Total instructions of the functional pass.
-    pub total_insts: u64,
-    /// Number of intervals clustered.
-    pub n_intervals: u64,
-    /// Chosen cluster count.
-    pub k: u64,
-    /// Per-representative measurements, in interval order.
-    pub reps: Vec<SimpointRep>,
 }
 
 /// A process-wide in-memory checkpoint cache keyed by checkpoint stem —
@@ -728,14 +662,11 @@ fn measure_region(sim: &mut Simulator, warm: u64, insts: u64) -> (SimStats, u64)
     }
     let warm_stats = sim.stats();
     sim.run_until_insts(warm_stats.committed_instructions + insts);
-    let mut st = sim.stats();
-    if sim.take_trace_sink().is_some() {
-        st = sim.stats(); // trace_* counters final only after flush
-    }
-    let mut delta = st.clone();
+    let mut delta = sim.stats();
     delta.merge(&warm_stats, u64::saturating_sub);
-    delta.ffwd_insts = st.ffwd_insts + warm_stats.committed_instructions;
-    delta.skipped_cycles = st.skipped_cycles + warm_stats.cycles;
+    // Detailed simulation leaves the fast-forward counters alone.
+    delta.ffwd_insts = warm_stats.ffwd_insts + warm_stats.committed_instructions;
+    delta.skipped_cycles = warm_stats.skipped_cycles + warm_stats.cycles;
     (delta, warm_stats.committed_instructions)
 }
 

@@ -1,6 +1,6 @@
-//! A std-only metrics registry: atomic counters, gauges, and
-//! log2-bucketed latency histograms, rendered as Prometheus text
-//! exposition (version 0.0.4).
+//! A std-only metrics registry: atomic counters and log2-bucketed
+//! latency histograms, rendered with live gauge readings as Prometheus
+//! text exposition (version 0.0.4).
 //!
 //! `mssr-serve` instantiates one registry per server and answers the
 //! `metrics` protocol request with [`Renderer`] output, so any scraper
@@ -36,27 +36,6 @@ impl Counter {
     /// Adds `n`.
     pub fn add(&self, n: u64) {
         self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A set-to-current-value gauge.
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicU64);
-
-impl Gauge {
-    /// A zeroed gauge.
-    pub const fn new() -> Gauge {
-        Gauge(AtomicU64::new(0))
-    }
-
-    /// Sets the gauge.
-    pub fn set(&self, v: u64) {
-        self.0.store(v, Ordering::Relaxed);
     }
 
     /// Current value.
@@ -209,15 +188,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_and_gauges_do_what_they_say() {
+    fn counters_do_what_they_say() {
         let c = Counter::new();
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
-        let g = Gauge::new();
-        g.set(7);
-        g.set(3);
-        assert_eq!(g.get(), 3);
     }
 
     #[test]

@@ -27,7 +27,9 @@
 //! `{"type":"event","cell":<id>,"ev":{...}}`. Under `--sample N`, each
 //! cell contributes interval-sample events (`{"ev":"sample",...}`) in
 //! the same wrapping — without `--trace`, those are the *only* events
-//! emitted. The `mssr-report` binary consumes these trajectories.
+//! emitted. The `mssr-report` binary consumes these trajectories. The
+//! cell, SimPoint and profile records are one type each in [`report`],
+//! where each record's writer sits beside its reader.
 
 mod experiments;
 mod grid;
@@ -38,13 +40,13 @@ pub mod simpoint;
 pub mod simspeed;
 
 pub use experiments::{all_experiments, experiment, Experiment, EXPERIMENT_NAMES};
-pub use grid::{
-    run_cells, CellId, CellPool, CellProfile, CellResult, CellSpec, EngineCfg, SimpointCellResult,
-    SimpointRep,
-};
+pub use grid::{run_cells, CellId, CellPool, CellResult, CellSpec, EngineCfg};
+pub use report::{CellProfile, SimpointCellResult, SimpointRep};
 
-use mssr_sim::{json_escape, BpredKind, ProfBucket};
+use mssr_sim::BpredKind;
 use mssr_workloads::Scale;
+
+use report::{CellRecord, ProfileRecord};
 
 /// Default root seed for the experiment grid ("MSSR" in ASCII).
 pub const DEFAULT_ROOT_SEED: u64 = 0x4d53_5352;
@@ -296,35 +298,18 @@ pub(crate) fn scale_name(scale: Scale) -> &'static str {
 pub(crate) fn cell_json_line(pool: &CellPool, i: CellId, r: &CellResult) -> String {
     let spec = pool.cell_spec(i);
     let w = pool.workload(spec.workload);
-    let mut out = format!(
-        "{{\"type\":\"cell\",\"id\":{i},\"workload\":\"{}\",\"suite\":\"{}\",\"engine\":\"{}\",\"seed\":\"{:#x}\"",
-        json_escape(w.name()),
-        w.suite(),
-        json_escape(&spec.engine.label()),
-        r.seed
-    );
-    // The predictor is recorded only when it differs from the default,
-    // so default-grid trajectories stay byte-identical to pre-lab runs.
-    if spec.cfg.bpred != BpredKind::default() {
-        out.push_str(&format!(",\"bpred\":\"{}\"", spec.cfg.bpred.name()));
+    CellRecord {
+        id: i as u64,
+        workload: w.name().to_string(),
+        suite: w.suite().to_string(),
+        engine: spec.engine.label(),
+        bpred: spec.cfg.bpred.name().to_string(),
+        seed: r.seed,
+        stats: r.stats.clone(),
+        samples: Vec::new(),
+        simpoint: None,
     }
-    // Register Integration's per-set replacement counts (fig3's data);
-    // other engines report none.
-    let repl = &r.stats.engine.set_replacements;
-    if !repl.is_empty() {
-        out.push_str(",\"ri_set_replacements\":[");
-        for (k, v) in repl.iter().enumerate() {
-            if k > 0 {
-                out.push(',');
-            }
-            out.push_str(&v.to_string());
-        }
-        out.push(']');
-    }
-    out.push_str(",\"stats\":");
-    out.push_str(&r.stats.to_json());
-    out.push('}');
-    out
+    .to_json()
 }
 
 /// Appends a cell's wrapped `"event"` records to `out`, one per raw
@@ -335,34 +320,20 @@ pub(crate) fn push_event_lines(out: &mut String, cell: CellId, raw: &str) {
     }
 }
 
-/// One `"profile"` record (no trailing newline): a cell's host
-/// wall-clock self-profile. These lines go to *stderr*, never into the
-/// trajectory — `Trajectory::parse` rejects unknown record types by
-/// design, and profile data is machine-dependent, so keeping it out of
-/// stdout is what keeps `--profile` byte-transparent. `mssr-report
-/// --profile FILE` consumes a saved stderr stream.
-pub(crate) fn profile_json_line(pool: &CellPool, i: CellId, r: &CellResult) -> Option<String> {
-    let p = r.profile.as_ref()?;
+/// A profiled cell's `"profile"` record (`None` unprofiled). These
+/// lines go to *stderr*, never into the trajectory, which is what keeps
+/// `--profile` byte-transparent; `mssr-report --profile FILE` consumes a
+/// saved stderr stream.
+pub(crate) fn profile_record(pool: &CellPool, i: CellId, r: &CellResult) -> Option<ProfileRecord> {
     let spec = pool.cell_spec(i);
-    let w = pool.workload(spec.workload);
-    let mut out = format!(
-        "{{\"type\":\"profile\",\"cell\":{i},\"workload\":\"{}\",\"engine\":\"{}\",\"cycles\":{},\"insts\":{},\"total_us\":{},\"stride\":{},\"sampled_cycles\":{},\"ns\":{{",
-        json_escape(w.name()),
-        json_escape(&spec.engine.label()),
-        r.stats.cycles,
-        r.stats.committed_instructions,
-        p.total_us,
-        p.report.stride,
-        p.report.sampled_cycles,
-    );
-    for (k, b) in ProfBucket::ALL.iter().enumerate() {
-        if k > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\"{}\":{}", b.name(), p.report.get(*b)));
-    }
-    out.push_str("}}");
-    Some(out)
+    Some(ProfileRecord {
+        cell: i as u64,
+        workload: pool.workload(spec.workload).name().to_string(),
+        engine: spec.engine.label(),
+        cycles: r.stats.cycles,
+        insts: r.stats.committed_instructions,
+        profile: r.profile.clone()?,
+    })
 }
 
 /// Runs a set of experiments over one shared, deduplicated cell pool —
@@ -379,8 +350,8 @@ pub fn run_experiments(exps: &[Box<dyn Experiment>], opts: &HarnessOpts) -> Stri
         // returned output (stdout) is byte-identical with or without
         // `--profile`, which the determinism suite pins.
         for (i, r) in results.iter().enumerate() {
-            if let Some(line) = profile_json_line(&pool, i, r) {
-                eprintln!("{line}");
+            if let Some(rec) = profile_record(&pool, i, r) {
+                eprintln!("{}", rec.to_json());
             }
         }
     }
@@ -402,31 +373,10 @@ pub fn run_experiments(exps: &[Box<dyn Experiment>], opts: &HarnessOpts) -> Stri
                 push_event_lines(&mut out, i, trace);
             }
             // Under --simpoint, each cell's record is followed by its
-            // sampling plan and per-representative measurements (all
-            // unsigned integers, like every other trajectory field).
+            // sampling plan and per-representative measurements.
             if let Some(sp) = &r.simpoint {
-                out.push_str(&format!(
-                    "{{\"type\":\"simpoint\",\"cell\":{i},\"interval\":{},\"total_insts\":{},\"intervals\":{},\"k\":{},\"reps\":[",
-                    sp.interval, sp.total_insts, sp.n_intervals, sp.k
-                ));
-                for (j, rep) in sp.reps.iter().enumerate() {
-                    if j > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&format!(
-                        "{{\"index\":{},\"start_inst\":{},\"planned_insts\":{},\"weight_insts\":{},\"spread_milli\":{},\"warmup_insts\":{},\"cycles\":{},\"insts\":{},\"account\":{}}}",
-                        rep.index,
-                        rep.start_inst,
-                        rep.planned_insts,
-                        rep.weight_insts,
-                        rep.spread_milli,
-                        rep.warmup_insts,
-                        rep.cycles,
-                        rep.insts,
-                        rep.account.to_json()
-                    ));
-                }
-                out.push_str("]}\n");
+                out.push_str(&sp.to_json(i as u64));
+                out.push('\n');
             }
         }
         for (e, ids) in exps.iter().zip(&ids) {

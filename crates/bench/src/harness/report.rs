@@ -21,7 +21,9 @@
 
 use std::fmt;
 
-use mssr_sim::Sample;
+use mssr_sim::{
+    json_escape, BpredKind, Category, CycleAccount, ProfBucket, ProfReport, Sample, SimStats,
+};
 
 // ---------------------------------------------------------------------
 // A minimal JSON reader for the trajectory subset: objects, arrays,
@@ -269,11 +271,56 @@ impl Parser<'_> {
 }
 
 // ---------------------------------------------------------------------
-// Trajectory model
+// Trajectory model: one type per structured record, its writer
+// (`to_json`) beside its reader (`from_json`). The harness writes every
+// record through these types and every reader parses into them, so a
+// field is declared once; `to_json(from_json(line))` reproduces a
+// harness line byte for byte. Readers stay tolerant: a missing counter
+// reads 0.
 // ---------------------------------------------------------------------
 
-/// One cell of a trajectory: a (workload × engine) run with the
-/// counters the report needs, the CPI account, and any sample series.
+/// Fills `counters` from the same-named numeric members of `obj`; a
+/// counter the object lacks (or a missing object) reads 0. Writers emit
+/// members in declaration order, so the walk normally advances one
+/// member per counter and falls back to a search only on reordered
+/// input.
+fn read_counters<'a>(
+    obj: Option<&Json>,
+    counters: impl IntoIterator<Item = (&'static str, &'a mut u64)>,
+) {
+    let kv: &[(String, Json)] = match obj {
+        Some(Json::Obj(kv)) => kv,
+        _ => &[],
+    };
+    let mut next = 0;
+    for (name, slot) in counters {
+        let at = match kv.get(next) {
+            Some((k, _)) if k == name => Some(next),
+            _ => kv.iter().position(|(k, _)| k == name),
+        };
+        *slot = at.map_or(0, |i| {
+            next = i + 1;
+            kv[i].1.num().unwrap_or(0)
+        });
+    }
+}
+
+/// A string member of `v`, or `default` when absent.
+fn str_member(v: &Json, key: &str, default: &str) -> String {
+    v.get(key).and_then(Json::str_val).unwrap_or(default).to_string()
+}
+
+/// The numbers of an array member of `v` (non-numbers read 0).
+fn num_array(v: Option<&Json>) -> Vec<u64> {
+    match v {
+        Some(Json::Arr(a)) => a.iter().map(|x| x.num().unwrap_or(0)).collect(),
+        _ => Vec::new(),
+    }
+}
+
+/// One `"cell"` record: a (workload × engine) run with its full
+/// statistics, plus the sample series and SimPoint record [`Trajectory`]
+/// attaches from the lines that follow it.
 #[derive(Clone, Debug, Default)]
 pub struct CellRecord {
     /// Cell id within the trajectory.
@@ -284,69 +331,143 @@ pub struct CellRecord {
     pub suite: String,
     /// Engine label (`BASE`, `RCVG_N_P`, `RI_SxW`, plus ablation tags).
     pub engine: String,
-    /// Branch-predictor name (`"tage"` unless the cell record carries an
-    /// explicit `"bpred"` field — the default predictor is omitted from
-    /// trajectories to keep them byte-stable).
+    /// Branch-predictor name. The default predictor (`"tage"`) is left
+    /// out of the line, which keeps default-grid trajectories
+    /// byte-stable.
     pub bpred: String,
-    /// Simulated cycles.
-    pub cycles: u64,
-    /// Committed instructions.
-    pub insts: u64,
-    /// Architectural branch mispredictions.
-    pub mispredictions: u64,
-    /// Squashed instructions.
-    pub squashed: u64,
-    /// Reuse tests issued by the engine.
-    pub reuse_tests: u64,
-    /// Reuse grants (instructions whose results were reused).
-    pub reuse_grants: u64,
-    /// CPI-stack categories in trajectory order: (name, commit slots).
-    pub account: Vec<(String, u64)>,
-    /// Cycles' worth of execution latency recovered by reuse.
-    pub credit_reuse_cycles: u64,
-    /// Fetches skipped via the reconvergence fast path.
-    pub credit_recon_fetches: u64,
-    /// Instructions executed functionally during fast-forward (not part
-    /// of `insts`; zero for straight-through runs).
-    pub ffwd_insts: u64,
-    /// Cycles the fast-forward skipped (nominal 1 IPC; zero for
-    /// straight-through runs).
-    pub skipped_cycles: u64,
+    /// The cell's deterministic seed (written as `0x…`).
+    pub seed: u64,
+    /// The simulated statistics. Register Integration's per-set
+    /// replacement counts travel in the line's `ri_set_replacements`.
+    pub stats: SimStats,
     /// `--sample` time series (empty without `--sample`).
     pub samples: Vec<Sample>,
-    /// `--simpoint` sampling record (plan + per-representative
-    /// measurements); `None` for whole-program runs.
-    pub simpoint: Option<SimpointRecord>,
+    /// `--simpoint` plan and per-representative measurements; `None`
+    /// for whole-program runs.
+    pub simpoint: Option<SimpointCellResult>,
 }
 
-/// One representative interval of a cell's `--simpoint` record.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SimpointRepRecord {
+impl CellRecord {
+    /// The record's trajectory line (no trailing newline). Samples and
+    /// the SimPoint record are lines of their own.
+    pub fn to_json(&self) -> String {
+        let mut out = format!(
+            "{{\"type\":\"cell\",\"id\":{},\"workload\":\"{}\",\"suite\":\"{}\",\"engine\":\"{}\",\"seed\":\"{:#x}\"",
+            self.id,
+            json_escape(&self.workload),
+            json_escape(&self.suite),
+            json_escape(&self.engine),
+            self.seed
+        );
+        if self.bpred != BpredKind::default().name() {
+            out.push_str(&format!(",\"bpred\":\"{}\"", json_escape(&self.bpred)));
+        }
+        let repl = &self.stats.engine.set_replacements;
+        if !repl.is_empty() {
+            let list: Vec<String> = repl.iter().map(u64::to_string).collect();
+            out.push_str(&format!(",\"ri_set_replacements\":[{}]", list.join(",")));
+        }
+        out.push_str(",\"stats\":");
+        out.push_str(&self.stats.to_json());
+        out.push('}');
+        out
+    }
+
+    /// Reads a `"cell"` line: one walk over each counter list of the
+    /// already-parsed object.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message when the record has no `"stats"` object.
+    pub fn from_json(v: &Json) -> Result<CellRecord, String> {
+        let st = v.get("stats").ok_or("cell without stats")?;
+        let mut stats = SimStats::default();
+        read_counters(Some(st), stats.counters_mut());
+        let engine = st.get("engine");
+        read_counters(engine, stats.engine.counters_mut());
+        let distance = num_array(engine.and_then(|e| e.get("stream_distance")));
+        for (d, v) in stats.engine.stream_distance.iter_mut().zip(distance) {
+            *d = v;
+        }
+        if let Some(Json::Obj(kv)) = engine.and_then(|e| e.get("extra")) {
+            stats.engine.extra =
+                kv.iter().map(|(k, v)| (k.clone(), v.num().unwrap_or(0))).collect();
+        }
+        stats.engine.set_replacements = num_array(v.get("ri_set_replacements"));
+        read_counters(st.get("account"), stats.account.counters_mut());
+        let seed = v.get("seed").and_then(Json::str_val).and_then(|s| s.strip_prefix("0x"));
+        Ok(CellRecord {
+            id: v.field_u64("id"),
+            workload: str_member(v, "workload", "?"),
+            suite: str_member(v, "suite", "?"),
+            engine: str_member(v, "engine", "?"),
+            bpred: str_member(v, "bpred", BpredKind::default().name()),
+            seed: seed.and_then(|h| u64::from_str_radix(h, 16).ok()).unwrap_or(0),
+            stats,
+            samples: Vec::new(),
+            simpoint: None,
+        })
+    }
+
+    /// IPC in fixed-point thousandths (integer-deterministic).
+    pub fn ipc_milli(&self) -> u64 {
+        (self.stats.committed_instructions * 1000).checked_div(self.stats.cycles).unwrap_or(0)
+    }
+
+    /// Reuse-grant rate (grants per test) in thousandths.
+    pub fn grant_rate_milli(&self) -> u64 {
+        let e = &self.stats.engine;
+        (e.reuse_grants * 1000).checked_div(e.reuse_tests).unwrap_or(0)
+    }
+
+    /// Mispredictions per kilo-instruction, in fixed-point thousandths
+    /// (u128 internally so huge counters cannot wrap the multiply).
+    pub fn mpki_milli(&self) -> u64 {
+        let s = &self.stats;
+        if s.committed_instructions == 0 {
+            return 0;
+        }
+        u64::try_from(
+            u128::from(s.mispredictions) * 1_000_000 / u128::from(s.committed_instructions),
+        )
+        .unwrap_or(u64::MAX)
+    }
+}
+
+/// One representative interval's detailed measurement under `--simpoint`.
+#[derive(Clone, Debug)]
+pub struct SimpointRep {
     /// Interval index in the BBV trace.
     pub index: u64,
-    /// First instruction of the interval.
+    /// First instruction of the interval (the measurement start; the
+    /// detailed run begins `warmup_insts` earlier).
     pub start_inst: u64,
     /// Instructions the plan assigned to the interval.
     pub planned_insts: u64,
-    /// Cluster weight in instructions.
+    /// Cluster weight: instructions across the cluster's members.
     pub weight_insts: u64,
     /// Mean normalized-L1 BBV distance of cluster members to this
-    /// representative, in thousandths.
+    /// representative, in thousandths (the error-bound input).
     pub spread_milli: u64,
     /// Detailed warmup instructions run before the measured region
-    /// (excluded from `cycles`/`insts`, counted in the detailed budget).
+    /// (their counters are excluded from `cycles`/`insts`/`account` but
+    /// count against the detailed-simulation budget).
     pub warmup_insts: u64,
     /// Detailed cycles simulated in the measured region.
     pub cycles: u64,
-    /// Detailed instructions committed in the measured region.
+    /// Detailed instructions committed in the measured region (the
+    /// plan's count, give or take commit-width overshoot on the stop
+    /// boundaries).
     pub insts: u64,
+    /// The measured region's CPI-stack account.
+    pub account: CycleAccount,
 }
 
 /// A cell's `--simpoint` record: the sampling plan plus each
 /// representative's detailed measurement, from which whole-program CPI
 /// is reconstructed.
-#[derive(Clone, Debug, Default)]
-pub struct SimpointRecord {
+#[derive(Clone, Debug)]
+pub struct SimpointCellResult {
     /// Interval length in instructions.
     pub interval: u64,
     /// Total instructions of the functional pass.
@@ -355,11 +476,72 @@ pub struct SimpointRecord {
     pub n_intervals: u64,
     /// Chosen cluster count.
     pub k: u64,
-    /// Per-representative records, in interval order.
-    pub reps: Vec<SimpointRepRecord>,
+    /// Per-representative measurements, in interval order.
+    pub reps: Vec<SimpointRep>,
 }
 
-impl SimpointRecord {
+impl SimpointCellResult {
+    /// The record's trajectory line for cell `cell` (no trailing
+    /// newline).
+    pub fn to_json(&self, cell: u64) -> String {
+        let mut out = format!(
+            "{{\"type\":\"simpoint\",\"cell\":{cell},\"interval\":{},\"total_insts\":{},\"intervals\":{},\"k\":{},\"reps\":[",
+            self.interval, self.total_insts, self.n_intervals, self.k
+        );
+        for (j, rep) in self.reps.iter().enumerate() {
+            if j > 0 {
+                out.push(',');
+            }
+            out.push_str(&format!(
+                "{{\"index\":{},\"start_inst\":{},\"planned_insts\":{},\"weight_insts\":{},\"spread_milli\":{},\"warmup_insts\":{},\"cycles\":{},\"insts\":{},\"account\":{}}}",
+                rep.index,
+                rep.start_inst,
+                rep.planned_insts,
+                rep.weight_insts,
+                rep.spread_milli,
+                rep.warmup_insts,
+                rep.cycles,
+                rep.insts,
+                rep.account.to_json()
+            ));
+        }
+        out.push_str("]}");
+        out
+    }
+
+    /// Reads a `"simpoint"` line (its `"cell"` member names the cell
+    /// the record belongs to).
+    pub fn from_json(v: &Json) -> SimpointCellResult {
+        let reps = match v.get("reps") {
+            Some(Json::Arr(reps)) => reps
+                .iter()
+                .map(|r| {
+                    let mut account = CycleAccount::default();
+                    read_counters(r.get("account"), account.counters_mut());
+                    SimpointRep {
+                        index: r.field_u64("index"),
+                        start_inst: r.field_u64("start_inst"),
+                        planned_insts: r.field_u64("planned_insts"),
+                        weight_insts: r.field_u64("weight_insts"),
+                        spread_milli: r.field_u64("spread_milli"),
+                        warmup_insts: r.field_u64("warmup_insts"),
+                        cycles: r.field_u64("cycles"),
+                        insts: r.field_u64("insts"),
+                        account,
+                    }
+                })
+                .collect(),
+            _ => Vec::new(),
+        };
+        SimpointCellResult {
+            interval: v.field_u64("interval"),
+            total_insts: v.field_u64("total_insts"),
+            n_intervals: v.field_u64("intervals"),
+            k: v.field_u64("k"),
+            reps,
+        }
+    }
+
     /// Detailed instructions actually simulated across representatives,
     /// warmup included (the ≤20% budget the acceptance gate tracks).
     pub fn detailed_insts(&self) -> u64 {
@@ -415,31 +597,102 @@ impl SimpointRecord {
     }
 }
 
-impl CellRecord {
-    /// IPC in fixed-point thousandths (integer-deterministic).
-    pub fn ipc_milli(&self) -> u64 {
-        (self.insts * 1000).checked_div(self.cycles).unwrap_or(0)
+/// One cell's self-profile: the simulator's per-bucket wall-clock
+/// attribution plus the cell's total wall time (the sim-MIPS and
+/// cycles-per-second denominator).
+#[derive(Clone, Debug, Default)]
+pub struct CellProfile {
+    /// Whole-cell wall time in microseconds (≥ 1).
+    pub total_us: u64,
+    /// Per-stage sampled nanoseconds and whole-call ckpt/ffwd/bbv
+    /// timings (see [`mssr_sim::ProfBucket`]).
+    pub report: ProfReport,
+}
+
+/// One `"profile"` record of a harness `--profile` stderr stream: a
+/// cell's host wall-clock attribution. Profile data is
+/// machine-dependent, so these lines never enter the trajectory
+/// (`Trajectory::parse` rejects the record type by design).
+#[derive(Clone, Debug, Default)]
+pub struct ProfileRecord {
+    /// Cell id within the run.
+    pub cell: u64,
+    /// Workload name.
+    pub workload: String,
+    /// Engine label.
+    pub engine: String,
+    /// Simulated cycles of the cell.
+    pub cycles: u64,
+    /// Committed instructions of the cell.
+    pub insts: u64,
+    /// The cell's wall time and per-bucket attribution.
+    pub profile: CellProfile,
+}
+
+impl ProfileRecord {
+    /// The record's line (no trailing newline).
+    pub fn to_json(&self) -> String {
+        let r = &self.profile.report;
+        let mut out = format!(
+            "{{\"type\":\"profile\",\"cell\":{},\"workload\":\"{}\",\"engine\":\"{}\",\"cycles\":{},\"insts\":{},\"total_us\":{},\"stride\":{},\"sampled_cycles\":{},\"ns\":{{",
+            self.cell,
+            json_escape(&self.workload),
+            json_escape(&self.engine),
+            self.cycles,
+            self.insts,
+            self.profile.total_us,
+            r.stride,
+            r.sampled_cycles,
+        );
+        let ns: Vec<String> =
+            ProfBucket::ALL.iter().map(|&b| format!("\"{}\":{}", b.name(), r.get(b))).collect();
+        out.push_str(&ns.join(","));
+        out.push_str("}}");
+        out
     }
 
-    /// Reuse-grant rate (grants per test) in thousandths.
-    pub fn grant_rate_milli(&self) -> u64 {
-        (self.reuse_grants * 1000).checked_div(self.reuse_tests).unwrap_or(0)
-    }
-
-    /// Mispredictions per kilo-instruction, in fixed-point thousandths
-    /// (u128 internally so huge counters cannot wrap the multiply).
-    pub fn mpki_milli(&self) -> u64 {
-        if self.insts == 0 {
-            return 0;
+    /// Reads a `"profile"` line (`None` for any other record type).
+    pub fn from_json(v: &Json) -> Option<ProfileRecord> {
+        if v.get("type").and_then(Json::str_val) != Some("profile") {
+            return None;
         }
-        u64::try_from(u128::from(self.mispredictions) * 1_000_000 / u128::from(self.insts))
-            .unwrap_or(u64::MAX)
+        let mut report = ProfReport {
+            stride: v.field_u64("stride"),
+            sampled_cycles: v.field_u64("sampled_cycles"),
+            ..ProfReport::default()
+        };
+        let names = ProfBucket::ALL.map(ProfBucket::name);
+        read_counters(v.get("ns"), names.into_iter().zip(report.ns.iter_mut()));
+        Some(ProfileRecord {
+            cell: v.field_u64("cell"),
+            workload: str_member(v, "workload", "?"),
+            engine: str_member(v, "engine", "?"),
+            cycles: v.field_u64("cycles"),
+            insts: v.field_u64("insts"),
+            profile: CellProfile { total_us: v.field_u64("total_us"), report },
+        })
     }
 
-    /// Total commit slots across all CPI categories.
-    pub fn total_slots(&self) -> u64 {
-        self.account.iter().map(|(_, v)| v).sum()
+    /// Host throughput in thousandths of simulated MIPS.
+    pub fn sim_mips_milli(&self) -> u64 {
+        self.insts.saturating_mul(1000) / self.profile.total_us.max(1)
     }
+
+    /// Host simulation rate in thousandths of megacycles per second.
+    pub fn mcps_milli(&self) -> u64 {
+        self.cycles.saturating_mul(1000) / self.profile.total_us.max(1)
+    }
+}
+
+/// Parses a `--profile` stderr stream into its profile records. The
+/// stream interleaves with warnings and other diagnostics, so anything
+/// that is not a well-formed `{"type":"profile",...}` line is skipped
+/// rather than an error.
+pub fn parse_profile(text: &str) -> Vec<ProfileRecord> {
+    text.lines()
+        .filter_map(|line| Json::parse(line.trim()).ok())
+        .filter_map(|v| ProfileRecord::from_json(&v))
+        .collect()
 }
 
 /// A parsed JSON-lines trajectory.
@@ -472,13 +725,20 @@ impl Trajectory {
             let v = Json::parse(line).map_err(|e| format!("line {}: {e}", n + 1))?;
             match v.get("type").and_then(Json::str_val) {
                 Some("meta") => {
-                    t.scale = v.get("scale").and_then(Json::str_val).unwrap_or("").to_string();
-                    t.root_seed =
-                        v.get("root_seed").and_then(Json::str_val).unwrap_or("").to_string();
+                    t.scale = str_member(&v, "scale", "");
+                    t.root_seed = str_member(&v, "root_seed", "");
                 }
-                Some("cell") => t.cells.push(Self::cell(&v, n + 1)?),
+                Some("cell") => {
+                    t.cells.push(
+                        CellRecord::from_json(&v).map_err(|e| format!("line {}: {e}", n + 1))?,
+                    );
+                }
                 Some("event") => Self::event(&mut t, &v),
-                Some("simpoint") => Self::simpoint(&mut t, &v),
+                Some("simpoint") => {
+                    if let Some(c) = t.cell_mut(v.field_u64("cell")) {
+                        c.simpoint = Some(SimpointCellResult::from_json(&v));
+                    }
+                }
                 Some("experiment") => {}
                 other => {
                     return Err(format!("line {}: unknown record type {other:?}", n + 1));
@@ -488,64 +748,11 @@ impl Trajectory {
         Ok(t)
     }
 
-    fn cell(v: &Json, line: usize) -> Result<CellRecord, String> {
-        let stats = v.get("stats").ok_or_else(|| format!("line {line}: cell without stats"))?;
-        let engine = stats.get("engine").cloned().unwrap_or(Json::Obj(Vec::new()));
-        let mut c = CellRecord {
-            id: v.field_u64("id"),
-            workload: v.get("workload").and_then(Json::str_val).unwrap_or("?").to_string(),
-            suite: v.get("suite").and_then(Json::str_val).unwrap_or("?").to_string(),
-            engine: v.get("engine").and_then(Json::str_val).unwrap_or("?").to_string(),
-            bpred: v.get("bpred").and_then(Json::str_val).unwrap_or("tage").to_string(),
-            cycles: stats.field_u64("cycles"),
-            insts: stats.field_u64("committed_instructions"),
-            mispredictions: stats.field_u64("mispredictions"),
-            squashed: stats.field_u64("squashed_instructions"),
-            reuse_tests: engine.field_u64("reuse_tests"),
-            reuse_grants: engine.field_u64("reuse_grants"),
-            ffwd_insts: stats.field_u64("ffwd_insts"),
-            skipped_cycles: stats.field_u64("skipped_cycles"),
-            ..CellRecord::default()
-        };
-        if let Some(Json::Obj(kv)) = stats.get("account") {
-            for (k, val) in kv {
-                let n = val.num().unwrap_or(0);
-                match k.as_str() {
-                    "credit_reuse_cycles" => c.credit_reuse_cycles = n,
-                    "credit_recon_fetches" => c.credit_recon_fetches = n,
-                    _ => c.account.push((k.clone(), n)),
-                }
-            }
-        }
-        Ok(c)
-    }
-
-    fn simpoint(t: &mut Trajectory, v: &Json) {
-        let cell = v.field_u64("cell");
-        let mut rec = SimpointRecord {
-            interval: v.field_u64("interval"),
-            total_insts: v.field_u64("total_insts"),
-            n_intervals: v.field_u64("intervals"),
-            k: v.field_u64("k"),
-            reps: Vec::new(),
-        };
-        if let Some(Json::Arr(reps)) = v.get("reps") {
-            for r in reps {
-                rec.reps.push(SimpointRepRecord {
-                    index: r.field_u64("index"),
-                    start_inst: r.field_u64("start_inst"),
-                    planned_insts: r.field_u64("planned_insts"),
-                    weight_insts: r.field_u64("weight_insts"),
-                    spread_milli: r.field_u64("spread_milli"),
-                    warmup_insts: r.field_u64("warmup_insts"),
-                    cycles: r.field_u64("cycles"),
-                    insts: r.field_u64("insts"),
-                });
-            }
-        }
-        if let Some(c) = t.cells.iter_mut().rev().find(|c| c.id == cell) {
-            c.simpoint = Some(rec);
-        }
+    /// The cell with id `id`. Attached records follow their cell, so the
+    /// match is normally the last cell; search anyway so reordered input
+    /// still parses.
+    fn cell_mut(&mut self, id: u64) -> Option<&mut CellRecord> {
+        self.cells.iter_mut().rev().find(|c| c.id == id)
     }
 
     fn event(t: &mut Trajectory, v: &Json) {
@@ -553,14 +760,9 @@ impl Trajectory {
         if ev.get("ev").and_then(Json::str_val) != Some("sample") {
             return;
         }
-        let cell = v.field_u64("cell");
-        // Events follow their cell record, so the match is normally the
-        // last cell; search anyway so reordered input still parses.
-        if let Some(c) = t.cells.iter_mut().rev().find(|c| c.id == cell) {
+        if let Some(c) = t.cell_mut(v.field_u64("cell")) {
             let mut s = Sample { cycle: ev.field_u64("cycle"), ..Sample::default() };
-            for (k, v) in s.counters_mut() {
-                *v = ev.field_u64(k);
-            }
+            read_counters(Some(ev), s.counters_mut());
             c.samples.push(s);
         }
     }
@@ -621,32 +823,43 @@ fn table(header: &[String], rows: &[Vec<String>]) -> String {
 /// IPC plus each category's share of all commit slots, and the reuse
 /// credits.
 pub fn cpi_stack_table(t: &Trajectory) -> String {
-    let Some(first) = t.cells.iter().find(|c| !c.account.is_empty()) else {
+    if t.cells.iter().all(|c| c.stats.account.total_slots() == 0) {
         return "(no CPI accounts in trajectory)\n".to_string();
-    };
+    }
     let mut header: Vec<String> =
         ["workload", "engine", "IPC"].iter().map(|s| s.to_string()).collect();
-    for (name, _) in &first.account {
-        header.push(name.clone());
-    }
+    header.extend(Category::ALL.iter().map(|c| c.name().to_string()));
     header.push("credit_cycles".to_string());
     header.push("credit_fetches".to_string());
     let rows: Vec<Vec<String>> = t
         .cells
         .iter()
         .map(|c| {
-            let total = c.total_slots();
+            let a = &c.stats.account;
             let mut r = vec![c.workload.clone(), c.engine.clone(), milli(c.ipc_milli())];
-            for (name, _) in &first.account {
-                let v = c.account.iter().find(|(k, _)| k == name).map_or(0, |&(_, v)| v);
-                r.push(pct10(v, total));
-            }
-            r.push(c.credit_reuse_cycles.to_string());
-            r.push(c.credit_recon_fetches.to_string());
+            r.extend(Category::ALL.iter().map(|&k| pct10(a.get(k), a.total_slots())));
+            r.push(a.credit_reuse_cycles.to_string());
+            r.push(a.credit_recon_fetches.to_string());
             r
         })
         .collect();
     table(&header, &rows)
+}
+
+/// `c`'s speedup over the `BASE` cell of the same workload, as `N.NNNx`
+/// (`-` without one). The reference must share the predictor: a
+/// predictor-lab trajectory carries one BASE cell per bpred kind.
+fn base_speedup(t: &Trajectory, c: &CellRecord) -> String {
+    let base = t
+        .cells
+        .iter()
+        .find(|b| b.workload == c.workload && b.engine == "BASE" && b.bpred == c.bpred);
+    match base {
+        Some(b) if c.stats.cycles > 0 => {
+            format!("{}x", milli(b.stats.cycles * 1000 / c.stats.cycles))
+        }
+        _ => "-".to_string(),
+    }
 }
 
 /// Renders the speedup table: cycles and speedup vs the `BASE` cell of
@@ -656,7 +869,7 @@ pub fn cpi_stack_table(t: &Trajectory) -> String {
 /// executed instruction count and the skipped cycles — `cycles`, `IPC`
 /// and `speedup` always measure the detailed region only.
 pub fn speedup_table(t: &Trajectory) -> String {
-    let ffwd = t.cells.iter().any(|c| c.ffwd_insts > 0);
+    let ffwd = t.cells.iter().any(|c| c.stats.ffwd_insts > 0);
     let mut header: Vec<String> =
         ["workload", "engine", "cycles", "speedup", "MPKI", "grants", "grant_rate", "coverage"]
             .iter()
@@ -670,30 +883,20 @@ pub fn speedup_table(t: &Trajectory) -> String {
         .cells
         .iter()
         .map(|c| {
-            // The BASE reference must share the predictor: a predictor-lab
-            // trajectory carries one BASE cell per bpred kind.
-            let base = t
-                .cells
-                .iter()
-                .find(|b| b.workload == c.workload && b.engine == "BASE" && b.bpred == c.bpred)
-                .map(|b| b.cycles);
-            let speedup = match base {
-                Some(b) if c.cycles > 0 => format!("{}x", milli(b * 1000 / c.cycles)),
-                _ => "-".to_string(),
-            };
+            let (s, e) = (&c.stats, &c.stats.engine);
             let mut r = vec![
                 c.workload.clone(),
                 c.engine.clone(),
-                c.cycles.to_string(),
-                speedup,
+                s.cycles.to_string(),
+                base_speedup(t, c),
                 milli(c.mpki_milli()),
-                c.reuse_grants.to_string(),
-                pct10(c.reuse_grants, c.reuse_tests),
-                pct10(c.reuse_grants, c.squashed),
+                e.reuse_grants.to_string(),
+                pct10(e.reuse_grants, e.reuse_tests),
+                pct10(e.reuse_grants, s.squashed_instructions),
             ];
             if ffwd {
-                r.push(c.ffwd_insts.to_string());
-                r.push(c.skipped_cycles.to_string());
+                r.push(s.ffwd_insts.to_string());
+                r.push(s.skipped_cycles.to_string());
             }
             r
         })
@@ -715,23 +918,14 @@ pub fn bpred_table(t: &Trajectory) -> String {
         .cells
         .iter()
         .map(|c| {
-            let base = t
-                .cells
-                .iter()
-                .find(|b| b.workload == c.workload && b.engine == "BASE" && b.bpred == c.bpred)
-                .map(|b| b.cycles);
-            let speedup = match base {
-                Some(b) if c.cycles > 0 => format!("{}x", milli(b * 1000 / c.cycles)),
-                _ => "-".to_string(),
-            };
             vec![
                 c.workload.clone(),
                 c.bpred.clone(),
                 c.engine.clone(),
-                c.cycles.to_string(),
+                c.stats.cycles.to_string(),
                 milli(c.mpki_milli()),
-                speedup,
-                c.reuse_grants.to_string(),
+                base_speedup(t, c),
+                c.stats.engine.reuse_grants.to_string(),
             ]
         })
         .collect();
@@ -822,105 +1016,6 @@ pub fn simpoint_table(t: &Trajectory) -> String {
     table(&header, &rows)
 }
 
-// ---------------------------------------------------------------------
-// Self-profile records (`--profile` stderr stream)
-// ---------------------------------------------------------------------
-
-/// The pipeline-stage buckets of a profile record. Stage time is
-/// *sampled* (one cycle in `stride` is stamped), so estimating a
-/// stage's whole-run time means scaling by the stride; the remaining
-/// buckets (ckpt/ffwd/bbv) are whole-call timings used as-is.
-const STAGE_BUCKETS: [&str; 6] = ["fetch", "rename", "issue", "execute", "commit", "squash"];
-
-/// One `{"type":"profile",...}` record from a harness `--profile`
-/// stderr stream: a cell's host wall-clock attribution.
-#[derive(Clone, Debug, Default)]
-pub struct ProfileRecord {
-    /// Cell id within the run.
-    pub cell: u64,
-    /// Workload name.
-    pub workload: String,
-    /// Engine label.
-    pub engine: String,
-    /// Simulated cycles of the cell.
-    pub cycles: u64,
-    /// Committed instructions of the cell.
-    pub insts: u64,
-    /// Whole-cell wall time in microseconds.
-    pub total_us: u64,
-    /// Stage-sampling stride the profiler ran at.
-    pub stride: u64,
-    /// Cycles actually stamped.
-    pub sampled_cycles: u64,
-    /// Per-bucket accumulated nanoseconds, in record order.
-    pub ns: Vec<(String, u64)>,
-}
-
-impl ProfileRecord {
-    /// Nanoseconds recorded for `bucket` (0 when absent).
-    pub fn bucket_ns(&self, bucket: &str) -> u64 {
-        self.ns.iter().find(|(k, _)| k == bucket).map_or(0, |&(_, v)| v)
-    }
-
-    /// Estimated whole-run nanoseconds of `bucket`: sampled stage time
-    /// scaled by the stride, whole-call buckets as recorded.
-    pub fn est_ns(&self, bucket: &str) -> u64 {
-        let v = self.bucket_ns(bucket);
-        if STAGE_BUCKETS.contains(&bucket) {
-            v.saturating_mul(self.stride.max(1))
-        } else {
-            v
-        }
-    }
-
-    /// Total estimated attributed nanoseconds (the share denominator).
-    pub fn est_total_ns(&self) -> u64 {
-        self.ns.iter().fold(0u64, |acc, (k, _)| acc.saturating_add(self.est_ns(k)))
-    }
-
-    /// Host throughput in thousandths of simulated MIPS.
-    pub fn sim_mips_milli(&self) -> u64 {
-        self.insts.saturating_mul(1000) / self.total_us.max(1)
-    }
-
-    /// Host simulation rate in thousandths of megacycles per second.
-    pub fn mcps_milli(&self) -> u64 {
-        self.cycles.saturating_mul(1000) / self.total_us.max(1)
-    }
-}
-
-/// Parses a `--profile` stderr stream into its profile records. The
-/// stream interleaves with warnings and other diagnostics, so anything
-/// that is not a well-formed `{"type":"profile",...}` line is skipped
-/// rather than an error.
-pub fn parse_profile(text: &str) -> Vec<ProfileRecord> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let Ok(v) = Json::parse(line.trim()) else { continue };
-        if v.get("type").and_then(Json::str_val) != Some("profile") {
-            continue;
-        }
-        let mut ns = Vec::new();
-        if let Some(Json::Obj(kv)) = v.get("ns") {
-            for (k, val) in kv {
-                ns.push((k.clone(), val.num().unwrap_or(0)));
-            }
-        }
-        out.push(ProfileRecord {
-            cell: v.field_u64("cell"),
-            workload: v.get("workload").and_then(Json::str_val).unwrap_or("?").to_string(),
-            engine: v.get("engine").and_then(Json::str_val).unwrap_or("?").to_string(),
-            cycles: v.field_u64("cycles"),
-            insts: v.field_u64("insts"),
-            total_us: v.field_u64("total_us"),
-            stride: v.field_u64("stride"),
-            sampled_cycles: v.field_u64("sampled_cycles"),
-            ns,
-        });
-    }
-    out
-}
-
 /// Renders the self-profile table: one row per cell with each bucket's
 /// share of attributed wall-clock (stage samples scaled by the stride,
 /// so a row's shares sum to ~100%), plus host throughput as simulated
@@ -930,26 +1025,25 @@ pub fn profile_table(recs: &[ProfileRecord]) -> String {
     if recs.is_empty() {
         return "(no profile records — run the harness with --profile 2>FILE)\n".to_string();
     }
-    let names: Vec<&String> = recs[0]
-        .ns
-        .iter()
-        .map(|(k, _)| k)
-        .filter(|k| recs.iter().any(|r| r.bucket_ns(k) > 0))
+    let buckets: Vec<ProfBucket> = ProfBucket::ALL
+        .into_iter()
+        .filter(|&b| recs.iter().any(|r| r.profile.report.get(b) > 0))
         .collect();
     let mut header: Vec<String> = ["workload", "engine"].iter().map(|s| s.to_string()).collect();
-    header.extend(names.iter().map(|n| n.to_string()));
+    header.extend(buckets.iter().map(|b| b.name().to_string()));
     header.push("sim_MIPS".to_string());
     header.push("Mcyc/s".to_string());
     let rows: Vec<Vec<String>> = recs
         .iter()
         .map(|r| {
-            let total = r.est_total_ns();
+            let p = &r.profile.report;
+            let total = p.est_total_ns();
             let mut row = vec![r.workload.clone(), r.engine.clone()];
             // Shares are scaled to thousandths before the percentage so
             // huge nanosecond counts cannot overflow pct10's multiply.
-            for n in &names {
+            for &b in &buckets {
                 row.push(pct10(
-                    (u128::from(r.est_ns(n)) * 1000 / u128::from(total.max(1))) as u64,
+                    (u128::from(p.est_ns(b)) * 1000 / u128::from(total.max(1))) as u64,
                     1000,
                 ));
             }
@@ -1193,13 +1287,16 @@ mod tests {
         assert_eq!(t.scale, "test");
         assert_eq!(t.cells.len(), 2);
         let b = &t.cells[0];
-        assert_eq!((b.engine.as_str(), b.cycles, b.insts), ("BASE", 2000, 1000));
-        assert_eq!(b.account.len(), 7, "credits split out of the account categories");
-        assert_eq!(b.total_slots(), 8000);
+        assert_eq!(
+            (b.engine.as_str(), b.stats.cycles, b.stats.committed_instructions),
+            ("BASE", 2000, 1000)
+        );
+        assert_eq!(b.stats.account.get(Category::SquashBranch), 3000);
+        assert_eq!(b.stats.account.total_slots(), 8000, "credits are not commit slots");
         assert_eq!(b.samples.len(), 1);
         assert_eq!(b.samples[0].insts, 400);
         let m = &t.cells[1];
-        assert_eq!(m.credit_reuse_cycles, 70);
+        assert_eq!(m.stats.account.credit_reuse_cycles, 70);
         assert_eq!(m.ipc_milli(), 1000);
         assert_eq!(m.grant_rate_milli(), 750);
     }
@@ -1287,10 +1384,10 @@ mod tests {
     fn mpki_regressions_flag_upward_drift_including_from_zero() {
         let old = Trajectory::parse(&fixture()).unwrap();
         let mut new = old.clone();
-        new.cells[1].mispredictions = 12; // +20% past the 5% threshold
+        new.cells[1].stats.mispredictions = 12; // +20% past the 5% threshold
         assert!(regressions(&new, &old, 5).iter().any(|x| x.metric == "MPKI"));
         let mut zero_old = old.clone();
-        zero_old.cells[1].mispredictions = 0;
+        zero_old.cells[1].stats.mispredictions = 0;
         assert!(
             regressions(&new, &zero_old, 5).iter().any(|x| x.metric == "MPKI"),
             "zero-to-nonzero MPKI drift is a regression"
@@ -1306,8 +1403,8 @@ mod tests {
         let plain = Trajectory::parse(&fixture()).unwrap();
         assert!(!speedup_table(&plain).contains("skipped_cycles"));
         let mut warmed = plain.clone();
-        warmed.cells[1].ffwd_insts = 5000;
-        warmed.cells[1].skipped_cycles = 5000;
+        warmed.cells[1].stats.ffwd_insts = 5000;
+        warmed.cells[1].stats.skipped_cycles = 5000;
         let r = speedup_table(&warmed);
         assert!(r.contains("ffwd_insts"), "ffwd column present:\n{r}");
         assert!(r.contains("skipped_cycles"), "skipped column present:\n{r}");
@@ -1316,8 +1413,8 @@ mod tests {
         let line = fixture()
             .replace("\"cycles\":1000,", "\"cycles\":1000,\"ffwd_insts\":7,\"skipped_cycles\":7,");
         let t = Trajectory::parse(&line).unwrap();
-        assert_eq!(t.cells[1].ffwd_insts, 7);
-        assert_eq!(t.cells[1].skipped_cycles, 7);
+        assert_eq!(t.cells[1].stats.ffwd_insts, 7);
+        assert_eq!(t.cells[1].stats.skipped_cycles, 7);
     }
 
     fn fixture_simpoint() -> String {
@@ -1411,11 +1508,12 @@ mod tests {
         assert_eq!(recs.len(), 1, "only the profile record parses");
         let r = &recs[0];
         assert_eq!((r.workload.as_str(), r.engine.as_str()), ("w", "BASE"));
-        assert_eq!((r.cycles, r.insts, r.total_us, r.stride), (640000, 320000, 200000, 64));
-        assert_eq!(r.bucket_ns("execute"), 800000);
+        let p = &r.profile;
+        assert_eq!((r.cycles, r.insts, p.total_us, p.report.stride), (640000, 320000, 200000, 64));
+        assert_eq!(p.report.get(ProfBucket::Execute), 800000);
         // Stage buckets scale by the stride; whole-call buckets do not.
-        assert_eq!(r.est_ns("execute"), 800000 * 64);
-        assert_eq!(r.est_ns("ffwd"), 33600000);
+        assert_eq!(p.report.est_ns(ProfBucket::Execute), 800000 * 64);
+        assert_eq!(p.report.est_ns(ProfBucket::Ffwd), 33600000);
         // 320000 insts / 200000 µs = 1.600 MIPS; 640000 cyc = 3.200 Mcyc/s.
         assert_eq!(r.sim_mips_milli(), 1600);
         assert_eq!(r.mcps_milli(), 3200);
@@ -1448,14 +1546,65 @@ mod tests {
         assert!(profile_table(&[]).contains("no profile records"));
     }
 
+    /// Every structured record the harness writes reads back into its
+    /// type and writes out unchanged: the cell and SimPoint lines of the
+    /// whole test-scale grid and of a sampled Table 1, and the profile
+    /// records of that sampled run. A field a reader drops breaks the
+    /// byte equality.
+    #[test]
+    fn records_round_trip_byte_for_byte() {
+        use crate::harness::{
+            all_experiments, experiment, profile_record, run_experiments, CellPool, HarnessOpts,
+        };
+        use mssr_workloads::Scale;
+
+        let mut opts = HarnessOpts::new(Scale::Test);
+        opts.json = true;
+        let mut text = run_experiments(&all_experiments(), &opts);
+        opts.simpoint = Some((2000, 3));
+        text.push_str(&run_experiments(&[experiment("table1").unwrap()], &opts));
+        let (mut cells, mut simpoints) = (0, 0);
+        for line in text.lines() {
+            let v = Json::parse(line).unwrap();
+            let back = match v.get("type").and_then(Json::str_val) {
+                Some("cell") => {
+                    cells += 1;
+                    CellRecord::from_json(&v).unwrap().to_json()
+                }
+                Some("simpoint") => {
+                    simpoints += 1;
+                    SimpointCellResult::from_json(&v).to_json(v.field_u64("cell"))
+                }
+                _ => continue,
+            };
+            assert_eq!(back, line);
+        }
+        assert!(text.contains("\"bpred\":") && text.contains("\"ri_set_replacements\":"));
+        assert_eq!(simpoints, 14, "one record per sampled Table 1 cell");
+        assert!(cells > simpoints);
+
+        // The `--profile` stream of the sampled run, written as the
+        // harness writes it to stderr.
+        opts.profile = true;
+        let mut pool = CellPool::new(Scale::Test);
+        experiment("table1").unwrap().cells(&mut pool);
+        let results = pool.run(&opts);
+        for (i, r) in results.iter().enumerate() {
+            let line = profile_record(&pool, i, r).expect("profiled cell").to_json();
+            let v = Json::parse(&line).unwrap();
+            assert_eq!(ProfileRecord::from_json(&v).unwrap().to_json(), line);
+        }
+        assert_eq!(parse_profile("{\"type\":\"cell\"}\n").len(), 0);
+    }
+
     #[test]
     fn regressions_trip_beyond_threshold_only() {
         let old = Trajectory::parse(&fixture()).unwrap();
         let mut new = old.clone();
         assert!(regressions(&new, &old, 5).is_empty(), "identical trajectories pass");
         // Degrade the MSSR cell's IPC by 50% and its grant rate to 0.
-        new.cells[1].cycles = 2000;
-        new.cells[1].reuse_grants = 0;
+        new.cells[1].stats.cycles = 2000;
+        new.cells[1].stats.engine.reuse_grants = 0;
         let r = regressions(&new, &old, 5);
         assert_eq!(r.len(), 2);
         assert_eq!(r[0].metric, "IPC");
@@ -1463,7 +1612,7 @@ mod tests {
         assert!(r[0].to_string().starts_with("REGRESSION w/RCVG_2_64: IPC 1.000 -> 0.500"));
         // Within threshold: a 3% IPC dip under a 5% threshold passes.
         let mut mild = old.clone();
-        mild.cells[1].insts = 970;
+        mild.cells[1].stats.committed_instructions = 970;
         assert!(regressions(&mild, &old, 5).is_empty());
         // Cells only on one side are ignored.
         let mut fewer = old.clone();
@@ -1476,11 +1625,11 @@ mod tests {
         // second duplicate flags exactly one regression.
         let mut dup = old.clone();
         let mut ablated = dup.cells[1].clone();
-        ablated.cycles = 1200;
+        ablated.stats.cycles = 1200;
         dup.cells.push(ablated);
         assert!(regressions(&dup, &dup.clone(), 5).is_empty());
         let mut dup_bad = dup.clone();
-        dup_bad.cells[2].cycles = 2400;
+        dup_bad.cells[2].stats.cycles = 2400;
         assert_eq!(regressions(&dup_bad, &dup, 5).len(), 1);
     }
 }

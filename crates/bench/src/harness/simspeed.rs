@@ -16,7 +16,7 @@
 //! gated.
 
 use super::report::{parse_profile, Json, Trajectory};
-use mssr_sim::json_escape;
+use mssr_sim::{json_escape, ProfBucket, ProfReport};
 
 /// One engine's aggregated sim-speed record.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -92,26 +92,17 @@ pub fn measure(
         e.mips_max_milli = mips[mips.len() - 1];
         // Stage shares: sum each bucket's estimated whole-run time over
         // the engine's profile records, then normalize to thousandths.
-        // Bucket order follows the first record so output is stable.
-        let recs: Vec<_> = profile.iter().filter(|r| r.engine == e.engine).collect();
-        let mut sums: Vec<(String, u64)> = Vec::new();
-        for r in &recs {
-            for (name, _) in &r.ns {
-                if !sums.iter().any(|(k, _)| k == name) {
-                    sums.push((name.clone(), 0));
-                }
-            }
-        }
-        for (name, acc) in &mut sums {
-            for r in &recs {
-                *acc = acc.saturating_add(r.est_ns(name));
-            }
-        }
+        let recs: Vec<&ProfReport> =
+            profile.iter().filter(|r| r.engine == e.engine).map(|r| &r.profile.report).collect();
+        let sums: Vec<(ProfBucket, u64)> = ProfBucket::ALL
+            .iter()
+            .map(|&b| (b, recs.iter().fold(0u64, |acc, r| acc.saturating_add(r.est_ns(b)))))
+            .collect();
         let total: u128 = sums.iter().map(|&(_, v)| u128::from(v)).sum();
         e.stage_share_milli = sums
             .into_iter()
             .filter(|&(_, v)| v > 0)
-            .map(|(k, v)| (k, (u128::from(v) * 1000 / total.max(1)) as u64))
+            .map(|(b, v)| (b.name().to_string(), (u128::from(v) * 1000 / total.max(1)) as u64))
             .collect();
     }
     Ok(Simspeed { experiment: experiment.to_string(), scale: t.scale, engines })

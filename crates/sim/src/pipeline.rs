@@ -224,8 +224,9 @@ impl Simulator {
         }
     }
 
-    /// Detaches and flushes the trace sink, if any. Event counters keep
-    /// their values, so [`Simulator::stats`] still reports `trace_*`.
+    /// Detaches the trace sink, if any. Event counters keep their
+    /// values, so [`Simulator::stats`] still reports `trace_*` once any
+    /// event was recorded.
     pub fn take_trace_sink(&mut self) -> Option<Box<dyn TraceSink>> {
         self.tracer.take_sink()
     }

@@ -107,6 +107,12 @@ impl ProfBucket {
     pub fn index(self) -> usize {
         self as usize
     }
+
+    /// Whether the bucket holds sampled pipeline-stage time (one cycle
+    /// in `stride` stamped) rather than whole-call time.
+    pub fn sampled(self) -> bool {
+        !matches!(self, ProfBucket::Ckpt | ProfBucket::Ffwd | ProfBucket::Bbv)
+    }
 }
 
 /// The profiler state owned by a `Simulator`.
@@ -223,10 +229,20 @@ impl ProfReport {
         self.ns[bucket.index()]
     }
 
-    /// Total attributed nanoseconds across every bucket — the
-    /// denominator of the share table.
-    pub fn total_ns(&self) -> u64 {
-        self.ns.iter().sum()
+    /// Estimated whole-run nanoseconds of `bucket`: sampled stage time
+    /// scaled by the stride, whole-call time as recorded.
+    pub fn est_ns(&self, bucket: ProfBucket) -> u64 {
+        if bucket.sampled() {
+            self.get(bucket).saturating_mul(self.stride.max(1))
+        } else {
+            self.get(bucket)
+        }
+    }
+
+    /// Estimated whole-run nanoseconds across every bucket (the share
+    /// denominator).
+    pub fn est_total_ns(&self) -> u64 {
+        ProfBucket::ALL.iter().fold(0u64, |acc, &b| acc.saturating_add(self.est_ns(b)))
     }
 
     /// Folds another report into this one (SimPoint runs profile each
@@ -282,7 +298,7 @@ mod tests {
         assert!(r.get(ProfBucket::Commit) > 0);
         assert!(r.get(ProfBucket::Ffwd) > 0);
         assert_eq!(r.get(ProfBucket::Fetch), 0);
-        assert_eq!(r.total_ns(), r.get(ProfBucket::Commit) + r.get(ProfBucket::Ffwd));
+        assert_eq!(r.est_total_ns(), r.get(ProfBucket::Commit) + r.get(ProfBucket::Ffwd));
     }
 
     #[test]
@@ -294,6 +310,19 @@ mod tests {
         assert_eq!(a.stride, 64);
         assert_eq!(a.sampled_cycles, 6);
         assert_eq!(a.get(ProfBucket::Squash), 20);
+    }
+
+    #[test]
+    fn stage_buckets_scale_by_the_stride_and_whole_calls_do_not() {
+        let sampled: Vec<&str> =
+            ProfBucket::ALL.iter().filter(|b| b.sampled()).map(|b| b.name()).collect();
+        assert_eq!(sampled, ["fetch", "rename", "issue", "execute", "commit", "squash"]);
+        let r = ProfReport { stride: 64, sampled_cycles: 1, ns: [10; ProfBucket::COUNT] };
+        assert_eq!(r.est_ns(ProfBucket::Execute), 640);
+        assert_eq!(r.est_ns(ProfBucket::Ffwd), 10);
+        assert_eq!(r.est_total_ns(), 6 * 640 + 3 * 10);
+        let off = ProfReport { stride: 0, ..r };
+        assert_eq!(off.est_ns(ProfBucket::Fetch), 10, "a zero stride counts as one");
     }
 
     #[test]

@@ -26,13 +26,11 @@ use mssr_isa::Pc;
 use crate::sample::Sample;
 use crate::types::{FlushKind, FuClass, SeqNum};
 
-/// What a [`TraceEvent::Ckpt`] record marks: a snapshot being taken, a
-/// restore from one, or a functional fast-forward handing off to the
-/// detailed pipeline.
+/// What a [`TraceEvent::Ckpt`] record marks: a restore from a
+/// checkpoint, or a functional fast-forward handing off to the detailed
+/// pipeline.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CkptAction {
-    /// A checkpoint snapshot was written.
-    Save,
     /// Simulation state was restored from a checkpoint.
     Restore,
     /// Functional fast-forward completed and detailed simulation begins.
@@ -43,7 +41,6 @@ impl CkptAction {
     /// The action's stable name, used in the JSON schema.
     pub fn name(self) -> &'static str {
         match self {
-            CkptAction::Save => "save",
             CkptAction::Restore => "restore",
             CkptAction::Ffwd => "ffwd",
         }
@@ -323,9 +320,6 @@ impl TraceEvent {
 pub trait TraceSink {
     /// Records one event.
     fn record(&mut self, ev: &TraceEvent);
-
-    /// Flushes any buffered output (called when the sink is detached).
-    fn flush(&mut self) {}
 }
 
 /// A JSON-lines sink backed by a shared string buffer.
@@ -412,18 +406,14 @@ impl Tracer {
         }
     }
 
-    /// Attaches a sink, replacing (and flushing) any previous one.
+    /// Attaches a sink, replacing any previous one.
     pub fn set_sink(&mut self, sink: Box<dyn TraceSink>) {
-        if let Some(mut old) = self.sink.replace(sink) {
-            old.flush();
-        }
+        self.sink = Some(sink);
     }
 
-    /// Detaches and flushes the sink, if any.
+    /// Detaches the sink, if any.
     pub fn take_sink(&mut self) -> Option<Box<dyn TraceSink>> {
-        let mut s = self.sink.take()?;
-        s.flush();
-        Some(s)
+        self.sink.take()
     }
 
     /// Restricts the sink to the given kinds (a bitwise OR of

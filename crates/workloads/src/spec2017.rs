@@ -12,29 +12,11 @@
 use mssr_isa::{regs::*, Assembler};
 
 use crate::graph::SplitMix64;
+use crate::util::{emit_mix, mix_ref, MIX};
 use crate::workload::{Check, Suite, Workload};
 
 const RESULT: u64 = 0x8000;
 const DATA: u64 = 0x10_0000;
-
-const MIX: u64 = 0x9e3779b97f4a7c15;
-
-fn emit_mix(
-    a: &mut Assembler,
-    dst: mssr_isa::ArchReg,
-    src: mssr_isa::ArchReg,
-    kreg: mssr_isa::ArchReg,
-    t: mssr_isa::ArchReg,
-) {
-    a.mul(dst, src, kreg);
-    a.srli(t, dst, 29);
-    a.xor(dst, dst, t);
-}
-
-fn mix_ref(x: u64) -> u64 {
-    let t = x.wrapping_mul(MIX);
-    t ^ (t >> 29)
-}
 
 // ---------------------------------------------------------------------
 // leela

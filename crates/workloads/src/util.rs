@@ -87,6 +87,22 @@ pub fn mix_round_ref(x: u64, k: u64, shift: u32) -> u64 {
     t ^ (t >> shift)
 }
 
+/// The SPEC kernels' hash multiplier (the 64-bit golden ratio).
+pub const MIX: u64 = 0x9e3779b97f4a7c15;
+
+/// Emits `dst = mix(src)`: one multiply-xorshift round with the constant
+/// held in `kreg`.
+pub fn emit_mix(a: &mut Assembler, dst: ArchReg, src: ArchReg, kreg: ArchReg, t: ArchReg) {
+    a.mul(dst, src, kreg);
+    a.srli(t, dst, 29);
+    a.xor(dst, dst, t);
+}
+
+/// The reference semantics of [`emit_mix`] with `kreg` holding [`MIX`].
+pub fn mix_ref(x: u64) -> u64 {
+    mix_round_ref(x, MIX, 29)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -147,8 +147,10 @@ impl Workload {
     /// restored from a checkpoint of one) so the result checks apply.
     pub fn finish(&self, sim: &mut Simulator) -> SimStats {
         let mut stats = sim.run();
-        // The stats snapshot must include the trace_* counters, which are
-        // final only once the sink has flushed.
+        // While a sink is attached the stats carry every `trace_*`
+        // counter; once it is detached, only those of a run that recorded
+        // an event. A sampled run shorter than its interval records none
+        // and so reports none.
         if sim.take_trace_sink().is_some() {
             stats = sim.stats();
         }

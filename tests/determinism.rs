@@ -194,7 +194,7 @@ fn sample_records_and_report_are_independent_of_worker_count() {
     assert!(regressions(&ta, &tb, 5).is_empty(), "identical runs never regress");
     let mut degraded = ta.clone();
     for c in &mut degraded.cells {
-        c.cycles *= 2;
+        c.stats.cycles *= 2;
     }
     assert!(!regressions(&degraded, &ta, 5).is_empty(), "halved IPC must regress");
 }
