@@ -169,6 +169,9 @@ pub struct CellResult {
     /// machine-dependent, which is why the harness emits it on stderr,
     /// never into the trajectory.
     pub profile: Option<CellProfile>,
+    /// Checkpoint files the cell skipped as invalid before running cold
+    /// (`--ckpt-dir` runs only; see [`record_ckpt_skips`]).
+    pub ckpt_restore_skips: u64,
 }
 
 /// A process-wide in-memory checkpoint cache keyed by checkpoint stem —
@@ -532,7 +535,7 @@ impl CellPool {
             });
             prof.merge(&sim.profile_report());
         }
-        let (mut stats, simpoint) = match plan {
+        let (stats, simpoint) = match plan {
             None => (measured.swap_remove(0).0, None),
             Some(p) => {
                 let mut sum = SimStats::default();
@@ -569,9 +572,9 @@ impl CellPool {
             total_us: (t0.elapsed().as_micros() as u64).max(1),
             report: prof,
         });
-        record_ckpt_skips(&mut stats, &skips, i, w.name(), &spec.engine.label());
+        let ckpt_restore_skips = record_ckpt_skips(&skips, i, w.name(), &spec.engine.label());
         let trace = trace.map(|t| std::mem::take(&mut t.borrow_mut().buf));
-        CellResult { seed, stats, trace, simpoint, profile }
+        CellResult { seed, stats, trace, simpoint, profile, ckpt_restore_skips }
     }
 
     /// Starts one detailed region: a fresh simulator positioned at the
@@ -686,20 +689,19 @@ fn save_ckpt(dir: &Path, stem: &str, insts: u64, bytes: &[u8]) {
 }
 
 /// Reports a cell's skipped-checkpoint tally: one stderr warning naming
-/// every skipped file and its [`mssr_sim::CkptError`], plus a
-/// `ckpt_restore_skips` counter in the cell's `EngineStats::extra` so
-/// trajectories record the degraded restore. Clean cells emit nothing,
-/// keeping their trajectory bytes unchanged.
-fn record_ckpt_skips(stats: &mut SimStats, skips: &[String], i: CellId, w: &str, engine: &str) {
-    if skips.is_empty() {
-        return;
+/// every skipped file and its [`mssr_sim::CkptError`], and the count,
+/// which the cell line records as `ckpt_restore_skips` so trajectories
+/// show the degraded restore. Clean cells warn nothing and count 0,
+/// which the cell line leaves out.
+fn record_ckpt_skips(skips: &[String], i: CellId, w: &str, engine: &str) -> u64 {
+    if !skips.is_empty() {
+        warn(format_args!(
+            "cell {i} ({w}/{engine}): skipped {} invalid checkpoint(s), ran cold: {}",
+            skips.len(),
+            skips.join("; ")
+        ));
     }
-    warn(format_args!(
-        "cell {i} ({w}/{engine}): skipped {} invalid checkpoint(s), ran cold: {}",
-        skips.len(),
-        skips.join("; ")
-    ));
-    *stats.engine.extra_mut("ckpt_restore_skips") = skips.len() as u64;
+    skips.len() as u64
 }
 
 /// Restores the newest valid checkpoint for `stem` from `dir` into
@@ -915,16 +917,10 @@ mod tests {
         files.len()
     }
 
-    /// A cell's observable result with the `ckpt_restore_skips` counter
-    /// removed (the one field a degraded restore may add).
+    /// A cell's observable result, less the skipped-checkpoint count
+    /// (the one field a degraded restore may add).
     fn trajectory(r: &CellResult) -> String {
-        let mut stats = r.stats.clone();
-        stats.engine.extra.retain(|(k, _)| k != "ckpt_restore_skips");
-        format!("{}|{:?}|{:?}", stats.to_json(), stats.engine.set_replacements, r.simpoint)
-    }
-
-    fn skips(r: &CellResult) -> u64 {
-        r.stats.engine.extra.iter().find(|(k, _)| k == "ckpt_restore_skips").map_or(0, |e| e.1)
+        format!("{}|{:?}|{:?}", r.stats.to_json(), r.stats.engine.set_replacements, r.simpoint)
     }
 
     /// BASE and RI (which also reports per-set replacement counts) on
@@ -957,7 +953,7 @@ mod tests {
         assert!(corrupt_ckpt_dir(&dir, cfg.mem_bytes) > 0, "periodic checkpoints were written");
         let warm = pool.run(&opts);
         for (c, w) in cold.iter().zip(&warm) {
-            assert!(skips(w) > 0, "the corrupt checkpoints are reported");
+            assert!(w.ckpt_restore_skips > 0, "the corrupt checkpoints are reported");
             assert_eq!(trajectory(w), trajectory(c), "a failed restore must leave a cold run");
         }
         let _ = std::fs::remove_dir_all(&dir);
@@ -979,7 +975,7 @@ mod tests {
         );
         let warm = pool.run(&opts);
         for (c, w) in cold.iter().zip(&warm) {
-            assert!(skips(w) > 0, "the corrupt checkpoints are reported");
+            assert!(w.ckpt_restore_skips > 0, "the corrupt checkpoints are reported");
             assert_eq!(trajectory(w), trajectory(c), "a failed restore must leave a cold run");
         }
         let _ = std::fs::remove_dir_all(&dir);
@@ -1018,7 +1014,7 @@ mod tests {
         opts.ckpt_dir = Some(dir.clone());
         let sampled = pool.run(&opts);
         for (c, s) in cold.iter().zip(&sampled) {
-            assert_eq!(skips(s), 0, "no checkpoint was rejected");
+            assert_eq!(s.ckpt_restore_skips, 0, "no checkpoint was rejected");
             assert_eq!(trajectory(s), trajectory(c), "the result must equal a cold SimPoint run");
         }
         let _ = std::fs::remove_dir_all(&dir);
@@ -1046,7 +1042,7 @@ mod tests {
             let bad = CkptMem::new();
             bad.put(&stem, with_page_outside_window(&bytes, cfg.mem_bytes));
             let warm = pool.run_cell_with(i, seed, &rp(&bad), None, None);
-            assert_eq!(skips(&warm), 1, "the corrupt snapshot is reported");
+            assert_eq!(warm.ckpt_restore_skips, 1, "the corrupt snapshot is reported");
             assert_eq!(
                 trajectory(&warm),
                 trajectory(&cold),
@@ -1057,52 +1053,44 @@ mod tests {
 
     #[test]
     fn gauges_keep_their_end_value_and_stay_out_of_simpoint_totals() {
-        let gauge =
-            |s: &SimStats, k: &str| s.engine.extra.iter().find(|(key, _)| key == k).map(|e| e.1);
-        let engines = [
-            (EngineSpec::Ri { sets: 64, ways: 2 }, "ri_occupancy"),
-            (EngineSpec::Mssr { streams: 4, log_entries: 64 }, "valid_streams"),
+        type Gauge = fn(&SimStats) -> u64;
+        let engines: [(EngineSpec, &str, Gauge); 2] = [
+            (EngineSpec::Ri { sets: 64, ways: 2 }, "ri_occupancy", |s| s.engine.ri_occupancy),
+            (EngineSpec::Mssr { streams: 4, log_entries: 64 }, "valid_streams", |s| {
+                s.engine.valid_streams
+            }),
         ];
         let mut pool = CellPool::new(Scale::Test);
         let w = pool.intern(microbench::nested_mispred(500));
         let cfg = SimConfig::default().with_max_cycles(1_000_000);
-        for (spec, _) in &engines {
+        for (spec, _, _) in &engines {
             pool.cell(w, (*spec).into(), cfg.clone());
         }
         let (warm, insts) = (14_000, 500);
-        for (i, (_, key)) in engines.iter().enumerate() {
+        for (i, (_, key, gauge)) in engines.iter().enumerate() {
             let mut probe = pool.fresh_sim(&pool.cells[i], false);
             probe.run_until_insts(warm);
-            let at_warm = gauge(&probe.stats(), key).expect("the engine reports its gauge");
-            assert!(at_warm > 0, "fixture: {key} is nonzero at the warmup end");
+            assert!(gauge(&probe.stats()) > 0, "fixture: {key} is nonzero at the warmup end");
             let mut sim = pool.fresh_sim(&pool.cells[i], false);
             let (delta, _) = measure_region(&mut sim, warm, insts);
-            let end = gauge(&sim.stats(), key);
-            assert!(end.is_some_and(|v| v > 0), "fixture: {key} is nonzero at the region end");
-            assert_eq!(gauge(&delta, key), end, "{key}: a region reports its end value");
+            let end = gauge(&sim.stats());
+            assert!(end > 0, "fixture: {key} is nonzero at the region end");
+            assert_eq!(gauge(&delta), end, "{key}: a region reports its end value");
         }
         let mut opts = HarnessOpts::new(Scale::Test);
         opts.jobs = 1;
         opts.simpoint = Some((2000, 3));
-        for (r, (_, key)) in pool.run(&opts).iter().zip(&engines) {
+        for (r, (_, key, gauge)) in pool.run(&opts).iter().zip(&engines) {
             assert!(r.simpoint.is_some(), "fixture: a SimPoint cell");
-            assert_eq!(gauge(&r.stats, key), None, "{key}: no gauge in a SimPoint total");
+            assert_eq!(gauge(&r.stats), 0, "{key}: a SimPoint total reads 0");
         }
     }
 
     #[test]
-    fn record_ckpt_skips_counts_into_extra_and_leaves_clean_cells_alone() {
-        let mut stats = SimStats::default();
-        record_ckpt_skips(&mut stats, &[], 0, "w", "BASE");
-        assert!(stats.engine.extra.is_empty(), "clean cells must not grow extra counters");
-        record_ckpt_skips(
-            &mut stats,
-            &["a.1.ckpt: bad".into(), "a.0.ckpt: bad".into()],
-            0,
-            "w",
-            "BASE",
-        );
-        assert_eq!(stats.engine.extra, vec![("ckpt_restore_skips".to_string(), 2)]);
+    fn record_ckpt_skips_counts_the_skipped_files_and_clean_cells_count_zero() {
+        assert_eq!(record_ckpt_skips(&[], 0, "w", "BASE"), 0);
+        let skipped = ["a.1.ckpt: bad".to_string(), "a.0.ckpt: bad".to_string()];
+        assert_eq!(record_ckpt_skips(&skipped, 0, "w", "BASE"), 2);
     }
 
     #[test]

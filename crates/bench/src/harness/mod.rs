@@ -305,6 +305,7 @@ pub(crate) fn cell_json_line(pool: &CellPool, i: CellId, r: &CellResult) -> Stri
         engine: spec.engine.label(),
         bpred: spec.cfg.bpred.name().to_string(),
         seed: r.seed,
+        ckpt_restore_skips: r.ckpt_restore_skips,
         stats: r.stats.clone(),
         samples: Vec::new(),
         simpoint: None,

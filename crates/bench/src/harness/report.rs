@@ -337,6 +337,9 @@ pub struct CellRecord {
     pub bpred: String,
     /// The cell's deterministic seed (written as `0x…`).
     pub seed: u64,
+    /// Invalid checkpoint files the cell skipped before running cold;
+    /// the line carries it only when nonzero.
+    pub ckpt_restore_skips: u64,
     /// The simulated statistics. Register Integration's per-set
     /// replacement counts travel in the line's `ri_set_replacements`.
     pub stats: SimStats,
@@ -367,6 +370,9 @@ impl CellRecord {
             let list: Vec<String> = repl.iter().map(u64::to_string).collect();
             out.push_str(&format!(",\"ri_set_replacements\":[{}]", list.join(",")));
         }
+        if self.ckpt_restore_skips > 0 {
+            out.push_str(&format!(",\"ckpt_restore_skips\":{}", self.ckpt_restore_skips));
+        }
         out.push_str(",\"stats\":");
         out.push_str(&self.stats.to_json());
         out.push('}');
@@ -389,9 +395,9 @@ impl CellRecord {
         for (d, v) in stats.engine.stream_distance.iter_mut().zip(distance) {
             *d = v;
         }
-        if let Some(Json::Obj(kv)) = engine.and_then(|e| e.get("extra")) {
-            stats.engine.extra =
-                kv.iter().map(|(k, v)| (k.clone(), v.num().unwrap_or(0))).collect();
+        if let Some(e) = engine {
+            stats.engine.valid_streams = e.field_u64("valid_streams");
+            stats.engine.ri_occupancy = e.field_u64("ri_occupancy");
         }
         stats.engine.set_replacements = num_array(v.get("ri_set_replacements"));
         read_counters(st.get("account"), stats.account.counters_mut());
@@ -403,6 +409,7 @@ impl CellRecord {
             engine: str_member(v, "engine", "?"),
             bpred: str_member(v, "bpred", BpredKind::default().name()),
             seed: seed.and_then(|h| u64::from_str_radix(h, 16).ok()).unwrap_or(0),
+            ckpt_restore_skips: v.field_u64("ckpt_restore_skips"),
             stats,
             samples: Vec::new(),
             simpoint: None,
@@ -1563,6 +1570,15 @@ mod tests {
         let mut text = run_experiments(&all_experiments(), &opts);
         opts.simpoint = Some((2000, 3));
         text.push_str(&run_experiments(&[experiment("table1").unwrap()], &opts));
+        assert!(!text.contains("ckpt_restore_skips"), "clean cells carry no skip count");
+        // A degraded restore's cell line carries its skipped-file count.
+        let first = text.lines().find(|l| l.starts_with("{\"type\":\"cell\"")).unwrap();
+        let mut degraded = CellRecord::from_json(&Json::parse(first).unwrap()).unwrap();
+        degraded.ckpt_restore_skips = 2;
+        let degraded = degraded.to_json();
+        assert!(degraded.contains(",\"ckpt_restore_skips\":2,\"stats\":"), "{degraded}");
+        text.push_str(&degraded);
+        text.push('\n');
         let (mut cells, mut simpoints) = (0, 0);
         for line in text.lines() {
             let v = Json::parse(line).unwrap();

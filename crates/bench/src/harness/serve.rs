@@ -406,11 +406,7 @@ fn run_job(state: &State, job: &Job) -> Served {
         state.pool.run_cell_with(job.cell, job.seed, &rp, None, live)
     })) {
         Ok(res) => {
-            if let Some((_, skips)) =
-                res.stats.engine.extra.iter().find(|(k, _)| k == "ckpt_restore_skips")
-            {
-                state.m.ckpt_restore_skips.add(*skips);
-            }
+            state.m.ckpt_restore_skips.add(res.ckpt_restore_skips);
             let cell_line = cell_json_line(&state.pool, job.cell, &res);
             let mut events = String::new();
             if let Some(tr) = &res.trace {

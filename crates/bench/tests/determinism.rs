@@ -1,9 +1,10 @@
-//! The self-profiler's out-of-band contract, pinned end to end: a
-//! harness run's *stdout* (the trajectory) must be byte-identical with
+//! The observers' out-of-band contract, pinned end to end: a harness
+//! run's *stdout* (the trajectory) must be byte-identical with
 //! `--profile` on or off, and across worker counts. The profiler reads
 //! the host clock and writes to stderr only — if a stage stamp ever
 //! leaked into a counter, a seed, or a record, these comparisons are
-//! the first thing to break.
+//! the first thing to break. Sampling and checkpoint restores add or
+//! skip work around a cell, never a byte of its `"cell"` line.
 
 use mssr_bench::harness::{run_named, HarnessOpts};
 use mssr_workloads::Scale;
@@ -29,6 +30,53 @@ fn profiling_leaves_the_trajectory_byte_identical_across_jobs() {
              profiling must be strictly out-of-band"
         );
     }
+}
+
+/// The `"type":"cell"` lines of a trajectory, in order.
+fn cell_lines(trajectory: &str) -> Vec<&str> {
+    trajectory.lines().filter(|l| l.starts_with("{\"type\":\"cell\"")).collect()
+}
+
+/// Observers leave no mark on a cell: sampling, profiling and a warm
+/// checkpoint restore change no byte of a cell line, whole-program or
+/// SimPoint. (Tracing is pinned on a smaller grid in the workspace's
+/// `tests/determinism.rs`, since a traced Table 1 writes hundreds of
+/// megabytes.)
+#[test]
+fn observers_leave_the_cell_lines_byte_identical() {
+    let plain = run_named(&["table1"], &opts(2, false));
+    assert_eq!(cell_lines(&plain).len(), 14, "fixture sanity: {plain}");
+    let dir = std::env::temp_dir().join(format!("mssr-observer-det-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let ckpt = |profile: bool| {
+        let mut o = opts(2, profile);
+        o.ckpt_dir = Some(dir.clone());
+        o.ckpt_every = 5_000;
+        o
+    };
+    let mut sampled = opts(2, false);
+    sampled.sample = 5_000;
+    for (mode, o) in [("--sample 5000", sampled), ("--profile, cold --ckpt-dir", ckpt(true))] {
+        let t = run_named(&["table1"], &o);
+        assert_eq!(cell_lines(&t), cell_lines(&plain), "{mode}: cell lines moved");
+    }
+    assert!(std::fs::read_dir(&dir).expect("ckpt dir").count() > 0, "fixture: checkpoints");
+    let warm = run_named(&["table1"], &ckpt(false));
+    assert_eq!(cell_lines(&warm), cell_lines(&plain), "warm --ckpt-dir: cell lines moved");
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let simpoint = |sample: u64| {
+        let mut o = opts(2, false);
+        o.simpoint = Some((2000, 3));
+        o.sample = sample;
+        run_named(&["table1"], &o)
+    };
+    let sp = simpoint(0);
+    assert_eq!(cell_lines(&sp).len(), 14, "fixture sanity: {sp}");
+    // Each region attaches a sample sink, whether or not it runs long
+    // enough to emit a sample.
+    let sp_sampled = simpoint(2000);
+    assert_eq!(cell_lines(&sp_sampled), cell_lines(&sp), "--simpoint --sample: cell lines moved");
 }
 
 #[test]

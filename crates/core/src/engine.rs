@@ -505,7 +505,7 @@ impl ReuseEngine for MultiStreamReuse {
 
     fn stats(&self) -> EngineStats {
         let mut s = self.stats.clone();
-        s.set_gauge("valid_streams", self.valid_streams() as u64);
+        s.valid_streams = self.valid_streams() as u64;
         s
     }
 

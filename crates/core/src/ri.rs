@@ -213,7 +213,7 @@ impl RegisterIntegration {
             while word != 0 {
                 let slot = i * 64 + word.trailing_zeros() as usize;
                 word &= word - 1;
-                *self.stats.extra_mut("ri_transitive_invalidations") += 1;
+                self.stats.ri_transitive_invalidations += 1;
                 self.evict(slot, ctx);
             }
         }
@@ -324,7 +324,7 @@ impl ReuseEngine for RegisterIntegration {
         let _ = ctx;
         self.stats.reuse_grants += 1;
         if q.src_pregs == [None, None] {
-            *self.stats.extra_mut("ri_no_src_grants") += 1;
+            self.stats.ri_no_src_grants += 1;
         }
         if e.is_load {
             self.stats.reused_loads += 1;
@@ -384,7 +384,7 @@ impl ReuseEngine for RegisterIntegration {
 
     fn stats(&self) -> EngineStats {
         let mut s = self.stats.clone();
-        s.set_gauge("ri_occupancy", self.occupancy() as u64);
+        s.ri_occupancy = self.occupancy() as u64;
         s.set_replacements = self.replacements.clone();
         s
     }
@@ -649,7 +649,7 @@ mod tests {
 
         fn stats(&self) -> EngineStats {
             let mut s = self.stats.clone();
-            s.set_gauge("ri_occupancy", self.occupancy() as u64);
+            s.ri_occupancy = self.occupancy() as u64;
             s
         }
 
@@ -669,7 +669,7 @@ mod tests {
                 }
             }
             for (s, w) in victims {
-                *self.stats.extra_mut("ri_transitive_invalidations") += 1;
+                self.stats.ri_transitive_invalidations += 1;
                 self.evict(s, w, fl);
             }
         }
@@ -735,7 +735,7 @@ mod tests {
             let e = self.table[set][way].take().unwrap();
             self.stats.reuse_grants += 1;
             if srcs == [None, None] {
-                *self.stats.extra_mut("ri_no_src_grants") += 1;
+                self.stats.ri_no_src_grants += 1;
             }
             if e.is_load {
                 self.stats.reused_loads += 1;

@@ -33,7 +33,7 @@ use crate::types::{PhysReg, Rgid, SeqNum};
 pub const CKPT_MAGIC: [u8; 8] = *b"MSSRCKPT";
 
 /// Current checkpoint format version. Bump on any payload layout change.
-pub const CKPT_VERSION: u32 = 3;
+pub const CKPT_VERSION: u32 = 4;
 
 const ENVELOPE_HEADER: usize = 20;
 const CHECKSUM_BYTES: usize = 8;
@@ -1281,12 +1281,12 @@ mod tests {
     }
 
     #[test]
-    fn version_2_files_are_refused() {
-        // Version 2 payloads ended in the sampler and tracer sections;
-        // a reader of version 3 must name the skew, not misparse them.
+    fn version_3_files_are_refused() {
+        // Version 3 engine sections ended in named counter pairs; a
+        // reader of version 4 must name the skew, not misparse them.
         let mut file = seal(&[1, 2, 3]);
-        file[8..12].copy_from_slice(&2u32.to_le_bytes());
-        assert_eq!(open(&file).unwrap_err(), CkptError::BadVersion { found: 2, expect: 3 });
+        file[8..12].copy_from_slice(&3u32.to_le_bytes());
+        assert_eq!(open(&file).unwrap_err(), CkptError::BadVersion { found: 3, expect: 4 });
     }
 
     #[test]

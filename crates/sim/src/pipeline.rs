@@ -27,7 +27,7 @@ use crate::rename::{Prf, Rat};
 use crate::sample::{Sample, Sampler};
 use crate::stage::{self, ectx, MachineState, PendingFlush, Scratch};
 use crate::stats::SimStats;
-use crate::trace::{CkptAction, TraceEvent, TraceKind, TraceSink, Tracer};
+use crate::trace::{CkptAction, TraceEvent, TraceSink, Tracer};
 use crate::types::{FlushKind, PhysReg, Rgid};
 
 /// The simulator: one out-of-order core running one program.
@@ -202,10 +202,10 @@ impl Simulator {
     }
 
     /// Attaches a trace sink recording the event kinds in `mask` (a
-    /// bitwise OR of [`TraceKind::bit`] values; `!0` records every
-    /// kind): from the next cycle on, every such pipeline event is
-    /// recorded into it (see [`TraceEvent`] for the schema). Replaces —
-    /// and flushes — any previously attached sink.
+    /// bitwise OR of [`TraceKind::bit`](crate::TraceKind::bit) values;
+    /// `!0` records every kind): from the next cycle on, every such
+    /// pipeline event is recorded into it (see [`TraceEvent`] for the
+    /// schema). Replaces any previously attached sink.
     ///
     /// A sink attached at a fast-forward boundary — after
     /// [`Simulator::fast_forward`], or after restoring a snapshot taken
@@ -222,13 +222,6 @@ impl Simulator {
                 insts: self.st.stats.ffwd_insts,
             });
         }
-    }
-
-    /// Detaches the trace sink, if any. Event counters keep their
-    /// values, so [`Simulator::stats`] still reports `trace_*` once any
-    /// event was recorded.
-    pub fn take_trace_sink(&mut self) -> Option<Box<dyn TraceSink>> {
-        self.tracer.take_sink()
     }
 
     /// Enables interval sampling: every `interval` cycles a [`Sample`] of
@@ -291,11 +284,6 @@ impl Simulator {
         // side (it owns the counters); engines need not track it.
         s.engine.rgid_overflows = self.st.rgid_overflows_total;
         s.engine.rgid_resets = self.st.rgid_resets_total;
-        if self.tracer.active() {
-            for k in TraceKind::ALL {
-                *s.engine.extra_mut(&format!("trace_{}", k.name())) = self.tracer.count(k);
-            }
-        }
         s
     }
 

@@ -82,10 +82,9 @@ pub(crate) fn json_members(
 stats_record! {
     /// Counters maintained by a reuse engine.
     ///
-    /// The same struct serves all engines; counters an engine does not use
-    /// stay zero, engine-specific named counters and gauges go into
-    /// [`EngineStats::extra`], and Register Integration's per-set
-    /// replacement counts into [`EngineStats::set_replacements`].
+    /// The same struct serves all engines; counters and gauges an engine
+    /// does not use stay zero, and Register Integration's per-set
+    /// replacement counts go into [`EngineStats::set_replacements`].
     #[derive(Clone, Debug, Default, PartialEq, Eq)]
     pub struct EngineStats {
         counters {
@@ -128,41 +127,39 @@ stats_record! {
             pressure_reclaims,
             /// Reuse-table replacements (Register Integration).
             table_replacements,
+            /// Table entries invalidated because a register they source
+            /// was released (Register Integration).
+            ri_transitive_invalidations,
+            /// Grants of entries with no source registers (Register
+            /// Integration).
+            ri_no_src_grants,
         }
         /// Histogram of reconvergence stream distance; index `i` counts
         /// distance `i + 1`, with the last bucket absorbing the tail.
         pub stream_distance: [u64; 8],
-        /// Engine-specific named values: counters created through
-        /// [`EngineStats::extra_mut`] and gauges set through
-        /// [`EngineStats::set_gauge`].
-        pub extra: Vec<(String, u64)>,
+        /// Gauge: streams valid when the record was taken (MSSR).
+        pub valid_streams: u64,
+        /// Gauge: reuse-table entries valid when the record was taken
+        /// (Register Integration).
+        pub ri_occupancy: u64,
         /// Reuse-table replacements per set (Register Integration; empty for
         /// other engines). Figure 3's data. Neither [`EngineStats::to_json`]
         /// nor the checkpoint record carries it: the harness emits it in the
         /// cell line, and the engine checkpoints its own copy.
         pub set_replacements: Vec<u64>,
-        /// The [`EngineStats::extra`] keys that are gauges. Engines set
-        /// gauges in `stats()` and never checkpoint them, so neither the
-        /// JSON nor the checkpoint record carries this list.
-        pub gauges: Vec<&'static str>,
     }
 }
 
 impl EngineStats {
     /// Serializes the counters into a checkpoint stream (fixed counters
-    /// in declaration order, the distance histogram, then the named
-    /// `extra` pairs).
+    /// in declaration order, then the distance histogram). The gauges
+    /// are levels the engine sets in `stats()`, so they are not saved.
     pub fn ckpt_save(&self, w: &mut CkptWriter) {
         for (_, v) in self.counters() {
             w.u64(v);
         }
         for d in self.stream_distance {
             w.u64(d);
-        }
-        w.u64(self.extra.len() as u64);
-        for (k, v) in &self.extra {
-            w.str(k);
-            w.u64(*v);
         }
     }
 
@@ -175,40 +172,7 @@ impl EngineStats {
         for d in &mut s.stream_distance {
             *d = r.u64()?;
         }
-        let n = r.seq_len(9)?;
-        for _ in 0..n {
-            let k = r.str()?;
-            let v = r.u64()?;
-            s.extra.push((k, v));
-        }
         Ok(s)
-    }
-
-    /// The named counter `key` in [`EngineStats::extra`], appended at
-    /// zero on first use (so keys keep first-use order).
-    pub fn extra_mut(&mut self, key: &str) -> &mut u64 {
-        let i = match self.extra.iter().position(|(k, _)| k == key) {
-            Some(i) => i,
-            None => {
-                self.extra.push((key.to_string(), 0));
-                self.extra.len() - 1
-            }
-        };
-        &mut self.extra[i].1
-    }
-
-    /// Sets the gauge `key` in [`EngineStats::extra`]: a level sampled
-    /// when the record is taken (table occupancy, live streams), which
-    /// [`EngineStats::merge`] never folds.
-    pub fn set_gauge(&mut self, key: &'static str, value: u64) {
-        *self.extra_mut(key) = value;
-        if !self.is_gauge(key) {
-            self.gauges.push(key);
-        }
-    }
-
-    fn is_gauge(&self, key: &str) -> bool {
-        self.gauges.contains(&key)
     }
 
     /// Records a reconvergence stream distance into the histogram.
@@ -218,9 +182,8 @@ impl EngineStats {
     }
 
     /// Counter-wise `self = f(self, other)`: the counters, the distance
-    /// histogram, the per-set replacements and every `extra` counter.
-    /// A gauge keeps `self`'s value (and is not created when `self` has
-    /// none): levels do not add up or subtract.
+    /// histogram and the per-set replacements. The gauges keep `self`'s
+    /// value: levels do not add up or subtract.
     pub fn merge(&mut self, other: &EngineStats, f: fn(u64, u64) -> u64) {
         fold(self.counters_mut(), other.counters(), f);
         for (a, &b) in self.stream_distance.iter_mut().zip(&other.stream_distance) {
@@ -232,16 +195,11 @@ impl EngineStats {
         for (a, &b) in self.set_replacements.iter_mut().zip(&other.set_replacements) {
             *a = f(*a, b);
         }
-        for (k, v) in &other.extra {
-            if !self.is_gauge(k) && !other.is_gauge(k) {
-                let a = self.extra_mut(k);
-                *a = f(*a, *v);
-            }
-        }
     }
 
     /// The engine counters as a JSON object (stable key order, integers
-    /// only — bit-identical across runs and platforms).
+    /// only — bit-identical across runs and platforms): the counters,
+    /// the distance histogram, then the gauges.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{");
         json_members(&mut out, self.counters());
@@ -252,31 +210,12 @@ impl EngineStats {
             }
             out.push_str(&v.to_string());
         }
-        out.push_str("],\"extra\":{");
-        // `extra` is an append-only list; a key pushed twice (e.g. a
-        // counter re-exported after a stats refresh) must still yield
-        // valid JSON with unique keys. Last write wins, preserving the
-        // position of the first occurrence so key order stays stable.
-        let mut emitted: Vec<&str> = Vec::with_capacity(self.extra.len());
-        for (k, _) in &self.extra {
-            if !emitted.iter().any(|e| e == k) {
-                emitted.push(k);
-            }
-        }
-        for (i, k) in emitted.iter().enumerate() {
-            let v = self
-                .extra
-                .iter()
-                .rev()
-                .find(|(key, _)| key == k)
-                .map(|&(_, v)| v)
-                .expect("key came from extra");
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\":{v}", json_escape(k)));
-        }
-        out.push_str("}}");
+        out.push(']');
+        json_members(
+            &mut out,
+            [("valid_streams", self.valid_streams), ("ri_occupancy", self.ri_occupancy)],
+        );
+        out.push('}');
         out
     }
 }
@@ -564,7 +503,8 @@ impl SimStats {
 /// A record in which every counter, histogram bucket and account slot
 /// holds a distinct value: each record's values rise in declaration
 /// order (`SimStats` 101.., `EngineStats` 201.., the histogram 301..,
-/// the account 401..), so any encoding that swaps a pair shows it.
+/// the account 401.., the gauges 501..), so any encoding that swaps a
+/// pair shows it.
 #[cfg(test)]
 pub(crate) fn distinct_record() -> SimStats {
     SimStats {
@@ -608,10 +548,12 @@ pub(crate) fn distinct_record() -> SimStats {
             entries_logged: 216,
             pressure_reclaims: 217,
             table_replacements: 218,
+            ri_transitive_invalidations: 219,
+            ri_no_src_grants: 220,
             stream_distance: [301, 302, 303, 304, 305, 306, 307, 308],
-            extra: vec![("wpb_hits".into(), 501), ("aligner_probes".into(), 502)],
+            valid_streams: 501,
+            ri_occupancy: 502,
             set_replacements: vec![601, 602],
-            gauges: Vec::new(),
         },
         account: CycleAccount {
             slots: [401, 402, 403, 404, 405, 406, 407],
@@ -641,9 +583,10 @@ mod tests {
              \"recon_simple\":208,\"recon_software\":209,\"recon_hardware\":210,\
              \"divergences\":211,\"timeouts\":212,\"rgid_overflows\":213,\"rgid_resets\":214,\
              \"streams_captured\":215,\"entries_logged\":216,\"pressure_reclaims\":217,\
-             \"table_replacements\":218,\
+             \"table_replacements\":218,\"ri_transitive_invalidations\":219,\
+             \"ri_no_src_grants\":220,\
              \"stream_distance\":[301,302,303,304,305,306,307,308],\
-             \"extra\":{\"wpb_hits\":501,\"aligner_probes\":502}},\
+             \"valid_streams\":501,\"ri_occupancy\":502},\
              \"account\":{\"base\":401,\"frontend_empty\":402,\"squash_branch\":403,\
              \"mem_stall\":404,\"store_forward_pending\":405,\"backend_pressure\":406,\
              \"reuse_verify\":407,\"credit_reuse_cycles\":408,\"credit_recon_fetches\":409}}"
@@ -657,17 +600,14 @@ mod tests {
         e.ckpt_save(&mut w);
         let bytes = w.finish();
         let mut want = CkptWriter::new();
-        for v in (201..=218).chain(301..=308) {
+        for v in (201..=220).chain(301..=308) {
             want.u64(v);
         }
-        want.u64(2);
-        want.str("wpb_hits");
-        want.u64(501);
-        want.str("aligner_probes");
-        want.u64(502);
         assert_eq!(bytes, want.finish());
         let back = EngineStats::ckpt_load(&mut CkptReader::new(&bytes)).unwrap();
-        assert_eq!(back, EngineStats { set_replacements: Vec::new(), ..e });
+        let counters_only =
+            EngineStats { valid_streams: 0, ri_occupancy: 0, set_replacements: Vec::new(), ..e };
+        assert_eq!(back, counters_only);
     }
 
     #[test]
@@ -743,17 +683,6 @@ mod tests {
         assert!(r.contains("L2 hit 80.0%"), "L2 hit rate: {r}");
         assert!(r.contains("stream distance"), "histogram line: {r}");
         assert!(r.contains("1:1 2:0 3:0 4:0 5:0 6:0 7:0 8+:1"), "bucket list: {r}");
-    }
-
-    #[test]
-    fn engine_extra_json_dedups_keys_last_write_wins() {
-        let mut e = EngineStats::default();
-        e.extra.push(("wpb_hits".into(), 1));
-        e.extra.push(("aligner_probes".into(), 5));
-        e.extra.push(("wpb_hits".into(), 9));
-        let j = e.to_json();
-        assert!(j.contains("\"extra\":{\"wpb_hits\":9,\"aligner_probes\":5}"), "{j}");
-        assert_eq!(j.matches("wpb_hits").count(), 1, "duplicate key must be emitted once");
     }
 
     #[test]

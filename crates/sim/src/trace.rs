@@ -168,10 +168,10 @@ pub enum TraceKind {
 }
 
 impl TraceKind {
-    /// Number of event kinds (size of per-kind counter arrays).
+    /// Number of event kinds.
     pub const COUNT: usize = 9;
 
-    /// All kinds, in counter-index order.
+    /// All kinds, in index order.
     pub const ALL: [TraceKind; TraceKind::COUNT] = [
         TraceKind::Fetch,
         TraceKind::Rename,
@@ -185,7 +185,7 @@ impl TraceKind {
     ];
 
     /// The kind's stable name, used as the `"ev"` field of the JSON
-    /// schema and as the `trace_*` suffix of the statistics counters.
+    /// schema.
     pub fn name(self) -> &'static str {
         match self {
             TraceKind::Fetch => "fetch",
@@ -200,7 +200,8 @@ impl TraceKind {
         }
     }
 
-    /// The kind's index into per-kind counter arrays.
+    /// The kind's index, `0..COUNT`: its bit position in an event mask
+    /// and its slot in a per-kind array.
     pub fn index(self) -> usize {
         match self {
             TraceKind::Fetch => 0,
@@ -353,30 +354,26 @@ impl TraceSink for BufferSink {
     }
 }
 
-/// The pipeline's tracing front end: an optional sink plus per-kind
-/// event counters (surfaced through `EngineStats::extra` as `trace_*`
-/// when tracing is active). A per-kind bitmask filters which events
-/// reach the sink — the `--sample N` harness flag, for instance, attaches
-/// a sink masked to [`TraceKind::Sample`] only, so sampling does not drag
-/// the full per-instruction event stream along with it.
+/// The pipeline's tracing front end: an optional sink behind a per-kind
+/// bitmask that filters which events reach it. The `--sample N` harness
+/// flag, for instance, attaches a sink masked to [`TraceKind::Sample`]
+/// only, so sampling does not drag the full per-instruction event stream
+/// along with it. The tracer keeps no counts: every event it passes is
+/// one line of the sink's stream, and the statistics never see it.
 pub(crate) struct Tracer {
     sink: Option<Box<dyn TraceSink>>,
-    counts: [u64; TraceKind::COUNT],
     mask: u64,
 }
 
 impl Default for Tracer {
     fn default() -> Tracer {
-        Tracer { sink: None, counts: [0; TraceKind::COUNT], mask: !0 }
+        Tracer { sink: None, mask: !0 }
     }
 }
 
 impl std::fmt::Debug for Tracer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Tracer")
-            .field("on", &self.sink.is_some())
-            .field("counts", &self.counts)
-            .finish()
+        f.debug_struct("Tracer").field("on", &self.sink.is_some()).finish()
     }
 }
 
@@ -388,21 +385,13 @@ impl Tracer {
         self.sink.is_some()
     }
 
-    /// Whether any event was ever recorded (counters are kept after the
-    /// sink is detached, so end-of-run statistics still report them).
-    pub fn active(&self) -> bool {
-        self.sink.is_some() || self.counts.iter().any(|&c| c > 0)
-    }
-
     /// Records one event (no-op without a sink or when the event's kind
     /// is masked off).
     pub fn emit(&mut self, ev: TraceEvent) {
         if let Some(s) = &mut self.sink {
-            if self.mask & ev.kind().bit() == 0 {
-                return;
+            if self.mask & ev.kind().bit() != 0 {
+                s.record(&ev);
             }
-            self.counts[ev.kind().index()] += 1;
-            s.record(&ev);
         }
     }
 
@@ -411,20 +400,10 @@ impl Tracer {
         self.sink = Some(sink);
     }
 
-    /// Detaches the sink, if any.
-    pub fn take_sink(&mut self) -> Option<Box<dyn TraceSink>> {
-        self.sink.take()
-    }
-
     /// Restricts the sink to the given kinds (a bitwise OR of
     /// [`TraceKind::bit`] values). The default mask passes everything.
     pub fn set_mask(&mut self, mask: u64) {
         self.mask = mask;
-    }
-
-    /// Event count for one kind.
-    pub fn count(&self, kind: TraceKind) -> u64 {
-        self.counts[kind.index()]
     }
 }
 
@@ -534,36 +513,25 @@ mod tests {
     }
 
     #[test]
-    fn tracer_counts_only_while_a_sink_is_attached() {
-        let mut t = Tracer::default();
-        assert!(!t.on());
-        assert!(!t.active());
-        t.emit(sample()[0]); // dropped: no sink
-        assert_eq!(t.count(TraceKind::Fetch), 0);
-        t.set_sink(Box::new(BufferSink::new()));
-        assert!(t.on());
-        t.emit(sample()[0]);
-        t.emit(sample()[4]);
-        assert_eq!(t.count(TraceKind::Fetch), 1);
-        assert_eq!(t.count(TraceKind::Commit), 1);
-        let _ = t.take_sink().expect("sink attached");
-        assert!(!t.on());
-        assert!(t.active(), "counters survive sink detachment");
-    }
-
-    #[test]
     fn mask_filters_kinds_before_the_sink() {
         let mut t = Tracer::default();
-        t.set_sink(Box::new(BufferSink::new()));
+        t.emit(sample()[0]); // dropped: no sink
+        assert!(!t.on());
+        let sink = BufferSink::new();
+        let handle = sink.handle();
+        t.set_sink(Box::new(sink));
+        assert!(t.on());
         t.set_mask(TraceKind::Sample.bit() | TraceKind::Squash.bit());
         for ev in sample() {
             t.emit(ev);
         }
-        assert_eq!(t.count(TraceKind::Sample), 1);
-        assert_eq!(t.count(TraceKind::Squash), 1);
-        assert_eq!(t.count(TraceKind::Fetch), 0, "masked kinds are neither counted nor recorded");
+        let kinds = |h: &Arc<Mutex<String>>| -> Vec<String> {
+            let buf = h.lock().unwrap();
+            buf.lines().map(|l| l.split('"').nth(3).unwrap_or("").to_string()).collect()
+        };
+        assert_eq!(kinds(&handle), ["squash", "sample"], "masked kinds never reach the sink");
         t.set_mask(!0);
         t.emit(sample()[0]);
-        assert_eq!(t.count(TraceKind::Fetch), 1);
+        assert_eq!(kinds(&handle), ["squash", "sample", "fetch"]);
     }
 }

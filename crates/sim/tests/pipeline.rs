@@ -318,40 +318,38 @@ fn trace_events_are_recorded_and_counted() {
     a.ld(T2, T0, 0);
     a.halt();
     let program = a.assemble().expect("assembles");
-    let mut sim = Simulator::new(SimConfig::default().with_max_cycles(100_000), program);
+    let cfg = SimConfig::default().with_max_cycles(100_000);
+    let mut sim = Simulator::new(cfg.clone(), program.clone());
     let sink = BufferSink::new();
     let buf = sink.handle();
     sim.set_trace_sink(Box::new(sink), !0);
-    sim.run();
-    assert!(sim.take_trace_sink().is_some());
-    let stats = sim.stats();
+    let stats = sim.run();
     let trace = buf.lock().unwrap().clone();
     // Five instructions commit; each also fetches and renames, and
     // all but the halt (which never enters an issue queue) issue.
-    for (key, at_least) in
-        [("trace_fetch", 1), ("trace_rename", 5), ("trace_issue", 4), ("trace_commit", 5)]
-    {
-        let n = stats
-            .engine
-            .extra
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|&(_, v)| v)
-            .unwrap_or_else(|| panic!("missing counter {key}"));
-        assert!(n >= at_least, "{key} = {n}, expected >= {at_least}");
+    let counts = trace_counts(&trace);
+    for (kind, at_least) in [
+        (TraceKind::Fetch, 1),
+        (TraceKind::Rename, 5),
+        (TraceKind::Issue, 4),
+        (TraceKind::Commit, 5),
+    ] {
+        let n = counts[kind.index()];
+        assert!(n >= at_least, "{} = {n}, expected >= {at_least}", kind.name());
     }
-    // The JSON-lines buffer carries one object per line matching the
-    // counters' total.
-    let lines: Vec<&str> = trace.lines().collect();
-    let total: u64 = TraceKind::ALL.iter().map(|&k| sim_trace_count(&stats, k)).sum();
-    assert_eq!(lines.len() as u64, total);
-    assert!(lines.iter().all(|l| l.starts_with('{') && l.ends_with('}')));
-    assert!(lines.iter().any(|l| l.contains("\"ev\":\"commit\"")));
+    // Every line is one JSON object of a known kind.
+    assert_eq!(trace.lines().count() as u64, counts.iter().sum::<u64>());
+    assert!(trace.lines().all(|l| l.starts_with('{') && l.ends_with('}')));
+    // Tracing leaves the statistics alone.
+    assert_eq!(stats, Simulator::new(cfg, program).run(), "a traced run's stats differ");
 }
 
-fn sim_trace_count(stats: &SimStats, k: TraceKind) -> u64 {
-    let key = format!("trace_{}", k.name());
-    stats.engine.extra.iter().find(|(n, _)| *n == key).map_or(0, |&(_, v)| v)
+/// Lines of a JSON-lines trace stream, per event kind.
+fn trace_counts(trace: &str) -> [u64; TraceKind::COUNT] {
+    TraceKind::ALL.map(|k| {
+        let tag = format!("{{\"ev\":\"{}\"", k.name());
+        trace.lines().filter(|l| l.starts_with(&tag)).count() as u64
+    })
 }
 
 #[test]
@@ -376,9 +374,8 @@ fn clean_run_has_no_invariant_violations() {
 
 /// Checkpoints carry the machine, not the observers: a fast-forward
 /// boundary snapshot taken under one trace mask and sample interval,
-/// restored under the other, records exactly the lines and `trace_*`
-/// counters of a cold run of the recipient's configuration — in both
-/// directions.
+/// restored under the other, records exactly the lines of a cold run
+/// of the recipient's configuration — in both directions.
 #[test]
 fn boundary_restore_traces_like_a_cold_run_of_the_recipient() {
     let mut a = Assembler::new();
@@ -395,8 +392,8 @@ fn boundary_restore_traces_like_a_cold_run_of_the_recipient() {
     let program = a.assemble().expect("assembles");
     // Runs one observer configuration to halt, cold (the sink attached
     // before the fast-forward) or from `boundary` (the sink attached
-    // after the restore). Returns the trace, the `trace_*` counters and
-    // the snapshot taken at the boundary.
+    // after the restore). Returns the trace, its lines per kind and the
+    // snapshot taken at the boundary.
     let run = |(mask, interval): (u64, u64), boundary: Option<&[u8]>| {
         let mut sim =
             Simulator::new(SimConfig::default().with_max_cycles(100_000), program.clone());
@@ -415,16 +412,13 @@ fn boundary_restore_traces_like_a_cold_run_of_the_recipient() {
         }
         let snap = sim.snapshot();
         sim.run();
-        assert!(sim.take_trace_sink().is_some());
-        let stats = sim.stats();
-        let counts = TraceKind::ALL.map(|k| sim_trace_count(&stats, k));
         let trace = buf.lock().unwrap().clone();
-        (trace, counts, snap)
+        (trace_counts(&trace), trace, snap)
     };
     let full = (!0, 0);
     let samples = (TraceKind::Sample.bit(), 50);
-    let (full_trace, full_counts, full_snap) = run(full, None);
-    let (sample_trace, sample_counts, sample_snap) = run(samples, None);
+    let (full_counts, full_trace, full_snap) = run(full, None);
+    let (sample_counts, sample_trace, sample_snap) = run(samples, None);
     assert!(full_trace.starts_with("{\"ev\":\"ckpt\""), "the stream opens at the boundary");
     assert_eq!(full_counts[TraceKind::Ckpt.index()], 1);
     assert!(full_counts[TraceKind::Commit.index()] > 0);
@@ -433,12 +427,10 @@ fn boundary_restore_traces_like_a_cold_run_of_the_recipient() {
     assert_eq!(sample_counts.iter().sum::<u64>(), sample_counts[TraceKind::Sample.index()]);
     assert_eq!(full_snap, sample_snap, "observer state stays out of the snapshot");
 
-    for (donor, recipient, cold_trace, cold_counts) in [
-        (&full_snap, samples, &sample_trace, sample_counts),
-        (&sample_snap, full, &full_trace, full_counts),
-    ] {
-        let (trace, counts, _) = run(recipient, Some(donor));
+    for (donor, recipient, cold_trace) in
+        [(&full_snap, samples, &sample_trace), (&sample_snap, full, &full_trace)]
+    {
+        let (_, trace, _) = run(recipient, Some(donor));
         assert_eq!(trace, *cold_trace, "{recipient:?}: restored stream differs from cold");
-        assert_eq!(counts, cold_counts, "{recipient:?}: trace_* counters differ from cold");
     }
 }

@@ -146,14 +146,7 @@ impl Workload {
     /// [`Workload::instantiate`]/[`Workload::instantiate_with`] (or
     /// restored from a checkpoint of one) so the result checks apply.
     pub fn finish(&self, sim: &mut Simulator) -> SimStats {
-        let mut stats = sim.run();
-        // While a sink is attached the stats carry every `trace_*`
-        // counter; once it is detached, only those of a run that recorded
-        // an event. A sampled run shorter than its interval records none
-        // and so reports none.
-        if sim.take_trace_sink().is_some() {
-            stats = sim.stats();
-        }
+        let stats = sim.run();
         assert!(sim.is_halted(), "workload `{}` did not halt", self.name);
         self.verify(sim).unwrap_or_else(|e| panic!("workload `{}`: {e}", self.name));
         stats

@@ -117,14 +117,19 @@ fn trace_events_are_independent_of_worker_count() {
     let a = run_experiments(&exps, &serial);
     let b = run_experiments(&exps, &parallel);
     assert_eq!(a, b, "--trace output must be byte-identical across --jobs");
-    // Every cell contributed events, wrapped with its id, and the
-    // per-kind counters surfaced in the cell stats.
+    // Every cell contributed events, wrapped with its id, and left its
+    // cell line as an untraced run writes it.
     for c in 0..3 {
         assert!(a.contains(&format!("{{\"type\":\"event\",\"cell\":{c},\"ev\":")));
     }
     assert!(a.contains("\"ev\":\"commit\""));
     assert!(a.contains("\"ev\":\"squash\""));
-    assert!(a.contains("\"trace_commit\":"));
+    let untraced = run_experiments(&exps, &HarnessOpts { trace: false, ..serial });
+    let cells = |t: &str| -> Vec<String> {
+        t.lines().filter(|l| l.starts_with("{\"type\":\"cell\"")).map(String::from).collect()
+    };
+    assert_eq!(cells(&a).len(), 3, "fixture sanity: {untraced}");
+    assert_eq!(cells(&a), cells(&untraced), "--trace moved a cell line");
 }
 
 /// The acceptance test for `--sample`: sample records ride the same
@@ -311,12 +316,12 @@ fn checkpoint_restore_resumes_bit_identically_for_every_engine() {
 
 // fnv1a64 of `nested_mispred(200)` snapshots at K = 500. Moving these
 // bytes is a checkpoint format change, which bumps `CKPT_VERSION`.
-const PIN_BASE: u64 = 0x0b73_17f8_810e_1cdd;
-const PIN_MSSR: u64 = 0x6aa7_3d33_570c_9c24;
-const PIN_RI: u64 = 0x1b23_9942_49f5_7a01;
-const PIN_DCI: u64 = 0x4e2e_d3eb_a6f7_28e7;
-const PIN_MSSR_BLOOM: u64 = 0x813a_dd62_d426_7ad5;
-const PIN_RI_BLOOM: u64 = 0x849e_00e4_0968_84ba;
+const PIN_BASE: u64 = 0xea15_5c5e_3663_1844;
+const PIN_MSSR: u64 = 0xc89d_31b0_9eca_6e22;
+const PIN_RI: u64 = 0xa8a4_7ad5_80d9_f5ec;
+const PIN_DCI: u64 = 0x5335_d42f_7245_55f7;
+const PIN_MSSR_BLOOM: u64 = 0x4264_fdfe_d20e_b1d3;
+const PIN_RI_BLOOM: u64 = 0x39b6_a918_d69d_c48e;
 
 /// Table 1's six Register Integration cells at test scale, pinned to
 /// their recorded counters. The report gate tolerates small IPC moves
@@ -345,15 +350,14 @@ fn table1_ri_cells_keep_their_counters() {
         let engine = RegisterIntegration::new(RiConfig::default().with_sets(64).with_ways(ways));
         let mut sim = w.instantiate_with(experiment_sim_config(), Box::new(engine));
         let s = w.finish(&mut sim);
-        let extra = |k: &str| s.engine.extra.iter().find(|(key, _)| key == k).map(|e| e.1);
         let got = (
             s.cycles,
             s.engine.reuse_grants,
             s.engine.table_replacements,
-            extra("ri_transitive_invalidations"),
-            extra("ri_occupancy"),
+            s.engine.ri_transitive_invalidations,
+            s.engine.ri_occupancy,
         );
-        let want = (cycles, grants, replacements, Some(transitive), Some(occupancy));
+        let want = (cycles, grants, replacements, transitive, occupancy);
         assert_eq!(got, want, "{kind}-mispred/500 RI_64x{ways}: counters moved");
     }
 }
@@ -365,7 +369,7 @@ fn table1_ri_cells_keep_their_counters() {
 fn medium_gap_snapshot_bytes_are_pinned() {
     use mssr::sim::fnv1a64;
     // fnv1a64 of the snapshot (see `PIN_BASE`).
-    const PIN_BFS: u64 = 0xbe45_7697_dc25_fca7;
+    const PIN_BFS: u64 = 0xdad1_d2bf_d2b1_f0b0;
     let w = gap::bfs(&Graph::uniform(1024, 8, 12));
     let mut a = w.instantiate(cfg());
     a.fast_forward(20_000);

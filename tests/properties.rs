@@ -336,9 +336,8 @@ fn oracle_predictor_never_mispredicts_on_random_programs() {
 }
 
 /// A statistics record with every counter, histogram bucket, per-set
-/// replacement count, `extra` counter in `keys` and account slot drawn
-/// from `value`, plus one gauge.
-fn stats_record(keys: &[&str], sets: usize, mut value: impl FnMut() -> u64) -> SimStats {
+/// replacement count, gauge and account slot drawn from `value`.
+fn stats_record(sets: usize, mut value: impl FnMut() -> u64) -> SimStats {
     let mut s = SimStats::default();
     for (_, v) in s.counters_mut() {
         *v = value();
@@ -350,10 +349,8 @@ fn stats_record(keys: &[&str], sets: usize, mut value: impl FnMut() -> u64) -> S
         *v = value();
     }
     s.engine.set_replacements = (0..sets).map(|_| value()).collect();
-    for k in keys {
-        *s.engine.extra_mut(k) = value();
-    }
-    s.engine.set_gauge("occupancy", value());
+    s.engine.valid_streams = value();
+    s.engine.ri_occupancy = value();
     for (_, v) in s.account.counters_mut() {
         *v = value();
     }
@@ -363,26 +360,24 @@ fn stats_record(keys: &[&str], sets: usize, mut value: impl FnMut() -> u64) -> S
 #[test]
 fn stats_merge_adds_and_subtracts_back_every_counter() {
     for_each_case("stats_merge_round_trips", 32, 0x6d73_7372_0013, |rng| {
-        let keys: Vec<&str> = ["wpb_hits", "aligner_probes", "trace_commit"]
-            .into_iter()
-            .filter(|_| rng.below(2) == 1)
-            .collect();
         let sets = rng.range(0, 5);
-        let a = stats_record(&keys, sets, || rng.next_u64());
-        let b = stats_record(&keys, sets, || rng.next_u64());
+        let a = stats_record(sets, || rng.next_u64());
+        let b = stats_record(sets, || rng.next_u64());
         let mut m = a.clone();
         m.merge(&b, u64::wrapping_add);
+        let gauges = |s: &SimStats| (s.engine.valid_streams, s.engine.ri_occupancy);
+        assert_eq!(gauges(&m), gauges(&a), "merge must leave the gauges alone");
         m.merge(&b, u64::wrapping_sub);
         assert_eq!(m, a, "add then subtract must return the record");
     });
 
     // Every counter of an all-ones record lands in the default record;
-    // the gauge does not (a total has no level).
-    let ones = stats_record(&["wpb_hits"], 3, || 1);
+    // the gauges do not (a total has no level).
+    let ones = stats_record(3, || 1);
     let mut m = SimStats::default();
     m.merge(&ones, u64::wrapping_add);
     let mut expect = ones.clone();
-    expect.engine.extra.retain(|(k, _)| k != "occupancy");
-    expect.engine.gauges.clear();
+    expect.engine.valid_streams = 0;
+    expect.engine.ri_occupancy = 0;
     assert_eq!(m, expect, "merging into the default must set every counter");
 }
